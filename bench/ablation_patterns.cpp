@@ -36,8 +36,9 @@ int main() {
     }
     session.stop();
 
-    const core::RuntimeProfile profile(session.registry().info(id),
-                                       session.store().events(id));
+    const std::vector<runtime::AccessEvent> events =
+        session.store().events(id);
+    const core::RuntimeProfile profile(session.registry().info(id), events);
 
     std::cout << "Ablation - minimum pattern length over a mixed workload ("
               << profile.total_events() << " events; streak lengths "
@@ -54,7 +55,7 @@ int main() {
         std::vector<core::Pattern> patterns;
         constexpr int kReps = 50;
         for (int rep = 0; rep < kReps; ++rep)
-            patterns = detector.detect(profile);
+            patterns = detector.detect(events);
         const double us = sw.elapsed_ns() / 1e3 / kReps;
 
         std::size_t covered = 0;

@@ -15,8 +15,9 @@
 // Every variant's verdicts are digest-checked against the AoS reference;
 // the emitted JSON carries the identity flags next to the timings, plus
 // hardware/provenance fields (hardware_concurrency, the --threads setting,
-// the active SIMD level).  The same harness also times the parallel
-// ProfileStore::finalize.
+// the active SIMD level).  The same harness also times the one grouping
+// pass (ProfileStore::finalize -> ColumnStore::group) that builds the
+// columns from the staged events.
 //
 // Usage: analysis_scaling [output.json] [rounds]
 #include <algorithm>
@@ -144,20 +145,10 @@ int main(int argc, char** argv) {
         store.append(scratch);
     }
 
-    // --- parallel finalize -------------------------------------------------
-    double finalize_seq_ms = 1e100;
-    double finalize_par_ms = 1e100;
-    for (int r = 0; r < rounds; ++r) {
-        auto t0 = Clock::now();
-        store.finalize(nullptr);
-        auto t1 = Clock::now();
-        finalize_seq_ms = std::min(finalize_seq_ms, ms_between(t0, t1));
-        par::ThreadPool pool(4);
-        t0 = Clock::now();
-        store.finalize(&pool);
-        t1 = Clock::now();
-        finalize_par_ms = std::min(finalize_par_ms, ms_between(t0, t1));
-    }
+    // --- grouping: staged events -> columns (runs once) ---------------------
+    const auto group_t0 = Clock::now();
+    store.finalize();
+    const double group_ms = ms_between(group_t0, Clock::now());
 
     // --- AoS reference baseline (the seed implementation) ------------------
     const core::Dsspy analyzer;
@@ -245,8 +236,7 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"events\": %llu,\n",
                  static_cast<unsigned long long>(store.total_events()));
     std::fprintf(f, "  \"rounds\": %d,\n", rounds);
-    std::fprintf(f, "  \"finalize_sequential_ms\": %.3f,\n", finalize_seq_ms);
-    std::fprintf(f, "  \"finalize_pool4_ms\": %.3f,\n", finalize_par_ms);
+    std::fprintf(f, "  \"group_ms\": %.3f,\n", group_ms);
     std::fprintf(f, "  \"aos_sequential_ms\": %.3f,\n", aos_ms);
     std::fprintf(f, "  \"scalar_sequential_ms\": %.3f,\n", scalar_ms);
     std::fprintf(f, "  \"analyze_sequential_ms\": %.3f,\n", seq_ms);

@@ -31,13 +31,14 @@ int main() {
     }
     session.stop();
 
-    const core::RuntimeProfile profile(session.registry().info(id),
-                                       session.store().events(id));
+    const std::vector<runtime::AccessEvent> events =
+        session.store().events(id);
+    const core::RuntimeProfile profile(session.registry().info(id), events);
 
     std::cout << "Figure 2 - Runtime profile for the example list\n\n";
     Table table({"#", "Op", "Type", "Position", "Size", "Thread"});
     std::size_t i = 0;
-    for (const runtime::AccessEvent& ev : profile.events()) {
+    for (const runtime::AccessEvent& ev : events) {
         table.add_row({std::to_string(i++),
                        std::string(runtime::op_name(ev.op)),
                        std::string(core::access_type_name(
@@ -52,14 +53,16 @@ int main() {
     viz::ChartOptions options;
     options.max_width = 40;
     options.max_height = 11;
-    std::cout << viz::render_profile_bars(profile, options);
+    std::cout << viz::render_profile_bars(profile, session.store().columns(),
+                                         options);
 
-    const std::string svg = viz::profile_to_svg(profile);
+    const std::string svg =
+        viz::profile_to_svg(profile, session.store().columns());
     if (viz::write_file("figure2_profile.svg", svg))
         std::cout << "\nWrote figure2_profile.svg\n";
 
     // The two patterns the paper points out in this profile.
-    const auto patterns = core::PatternDetector{}.detect(profile);
+    const auto patterns = core::PatternDetector{}.detect(events);
     std::cout << "\nDetected patterns (paper: two separate access "
                  "patterns):\n";
     for (const core::Pattern& p : patterns)

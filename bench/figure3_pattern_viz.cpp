@@ -38,20 +38,23 @@ int main() {
     }
     session.stop();
 
-    const core::RuntimeProfile profile(session.registry().info(id),
-                                       session.store().events(id));
+    const std::vector<runtime::AccessEvent> events =
+        session.store().events(id);
+    const core::RuntimeProfile profile(session.registry().info(id), events);
 
     std::cout << "Figure 3 - Index-sequential inserts and reads\n\n";
     viz::ChartOptions options;
     options.max_width = 110;
     options.max_height = 14;
-    std::cout << viz::render_profile_scatter(profile, options);
+    std::cout << viz::render_profile_scatter(
+        profile, session.store().columns(), options);
 
-    const std::string svg = viz::profile_to_svg(profile);
+    const std::string svg =
+        viz::profile_to_svg(profile, session.store().columns());
     if (viz::write_file("figure3_profile.svg", svg))
         std::cout << "\nWrote figure3_profile.svg\n";
 
-    const auto patterns = core::PatternDetector{}.detect(profile);
+    const auto patterns = core::PatternDetector{}.detect(events);
     std::size_t insert_back = 0;
     std::size_t read_forward = 0;
     for (const core::Pattern& p : patterns) {

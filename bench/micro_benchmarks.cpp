@@ -137,15 +137,15 @@ void BM_PatternDetection(benchmark::State& state) {
         id = list.instance_id();
     }
     session.stop();
-    const core::RuntimeProfile profile(session.registry().info(id),
-                                       session.store().events(id));
+    const std::vector<runtime::AccessEvent> events =
+        session.store().events(id);
     const core::PatternDetector detector;
     for (auto _ : state) {
-        auto patterns = detector.detect(profile);
+        auto patterns = detector.detect(events);
         benchmark::DoNotOptimize(patterns.data());
     }
     state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(profile.total_events()));
+                            static_cast<std::int64_t>(events.size()));
 }
 BENCHMARK(BM_PatternDetection)->Arg(1 << 12)->Arg(1 << 16);
 

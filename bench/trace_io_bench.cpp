@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
-#include "runtime/trace_binary.hpp"
 #include "runtime/trace_io.hpp"
 
 namespace {
@@ -170,8 +169,10 @@ int main(int argc, char** argv) {
     // sequential decode exactly.
     bool par_identical = true;
     {
-        const Trace seq_trace = runtime::read_trace_binary(bin_bytes);
-        const Trace par_trace = runtime::read_trace_binary(bin_bytes, &pool);
+        std::istringstream seq_in(bin_bytes);
+        std::istringstream par_in(bin_bytes);
+        const Trace seq_trace = runtime::read_trace(seq_in);
+        const Trace par_trace = runtime::read_trace(par_in, &pool);
         par_identical = seq_trace.instances == par_trace.instances &&
                         seq_trace.store.total_events() ==
                             par_trace.store.total_events();

@@ -29,7 +29,8 @@ int main() {
         options.max_width = 100;
         options.max_height = 10;
         options.show_legend = false;
-        viz::print_profile(std::cout, ia.profile, options);
+        viz::print_profile(std::cout, ia.profile, session.store().columns(),
+                           options);
         for (const core::UseCase& uc : ia.use_cases)
             std::cout << "  -> " << core::use_case_name(uc.kind) << ": "
                       << uc.recommendation() << '\n';
@@ -39,7 +40,8 @@ int main() {
     // Export the image array's profile as SVG.
     for (const core::InstanceAnalysis& ia : analysis.instances()) {
         if (ia.profile.info().location.method == "RenderImage") {
-            const std::string svg = viz::profile_to_svg(ia.profile);
+            const std::string svg =
+                viz::profile_to_svg(ia.profile, session.store().columns());
             if (viz::write_file("mandelbrot_profile.svg", svg))
                 std::cout << "Wrote mandelbrot_profile.svg ("
                           << svg.size() << " bytes)\n";

@@ -44,7 +44,7 @@
 #include "ds/dictionary.hpp"
 #include "ds/type_names.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
+#include "obs/trace.hpp"
 #include "parallel/parallel_for.hpp"
 #include "runtime/access_event.hpp"
 
@@ -372,7 +372,7 @@ private:
     }
 
     void migrate(Strategy from, Strategy to) const {
-        DSSPY_SPAN("adapt.switch");
+        DSSPY_TRACE_SPAN("adapt.switch");
         if (obs::enabled())
             obs::MetricsRegistry::global().add(
                 detail::AdaptMetrics::get().switches);

@@ -48,7 +48,7 @@
 #include "ds/list.hpp"
 #include "ds/type_names.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
+#include "obs/trace.hpp"
 #include "parallel/parallel_for.hpp"
 #include "runtime/access_event.hpp"
 
@@ -543,7 +543,7 @@ private:
     }
 
     void migrate(Strategy from, Strategy to) const {
-        DSSPY_SPAN("adapt.switch");
+        DSSPY_TRACE_SPAN("adapt.switch");
         if (obs::enabled())
             obs::MetricsRegistry::global().add(
                 detail::AdaptMetrics::get().switches);

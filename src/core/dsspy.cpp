@@ -53,26 +53,22 @@ AnalysisResult Dsspy::analyze(const runtime::ProfilingSession& session,
 AnalysisResult Dsspy::analyze(
     const std::vector<runtime::InstanceInfo>& instances,
     const runtime::ProfileStore& store, par::ThreadPool* pool) const {
-    return analyze_columns_impl(instances, store.columns(pool), &store, pool,
-                                store.total_events());
+    return analyze_columns_impl(instances, store.columns(), pool);
 }
 
 AnalysisResult Dsspy::analyze(
     const std::vector<runtime::InstanceInfo>& instances,
     const runtime::ColumnStore& columns, par::ThreadPool* pool) const {
-    return analyze_columns_impl(instances, columns, nullptr, pool,
-                                columns.total_events());
+    return analyze_columns_impl(instances, columns, pool);
 }
 
 AnalysisResult Dsspy::analyze_columns_impl(
     const std::vector<runtime::InstanceInfo>& instances,
-    const runtime::ColumnStore& columns,
-    const runtime::ProfileStore* aos_store, par::ThreadPool* pool,
-    std::size_t total_events) const {
+    const runtime::ColumnStore& columns, par::ThreadPool* pool) const {
     DSSPY_TRACE_SPAN("analyze.total");
     AnalysisResult result;
     result.total_instances_ = instances.size();
-    result.total_events_ = total_events;
+    result.total_events_ = columns.total_events();
 
     for (const runtime::InstanceInfo& info : instances) {
         if (info.kind == runtime::DsKind::List ||
@@ -108,11 +104,7 @@ AnalysisResult Dsspy::analyze_columns_impl(
             ia.patterns = detect_patterns_columns(slice, config_);
             const InstanceStats stats = instance_stats_from_columns(
                 info, slice, agg, ia.patterns, config_);
-            const std::span<const runtime::AccessEvent> events =
-                aos_store != nullptr
-                    ? aos_store->events(info.id)
-                    : std::span<const runtime::AccessEvent>{};
-            ia.profile = RuntimeProfile(info, events, std::move(agg));
+            ia.profile = RuntimeProfile(info, std::move(agg));
             ia.use_cases = engine_.classify(stats);
             if (telemetry)
                 obs::MetricsRegistry::global().observe(
@@ -184,9 +176,11 @@ AnalysisResult Dsspy::analyze_reference(
                 telemetry ? support::now_ns() : 0;
             const runtime::InstanceInfo& info = instances[i];
             InstanceAnalysis& ia = result.instances_[i];
-            ia.profile = RuntimeProfile(info, store.events(info.id));
-            ia.patterns = detector_.detect(ia.profile);
-            ia.use_cases = engine_.classify(ia.profile, ia.patterns);
+            const std::vector<runtime::AccessEvent> events =
+                store.events(info.id);
+            ia.profile = RuntimeProfile(info, events);
+            ia.patterns = detector_.detect(events);
+            ia.use_cases = engine_.classify(ia.profile, events, ia.patterns);
             if (telemetry)
                 obs::MetricsRegistry::global().observe(
                     instance_ns_metric, support::now_ns() - begin_ns);

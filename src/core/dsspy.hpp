@@ -40,10 +40,8 @@ struct InstanceAnalysis {
     }
 };
 
-/// Whole-session analysis result.
-///
-/// Lifetime: holds spans into the session's ProfileStore — the session must
-/// outlive the result.
+/// Whole-session analysis result (self-contained: holds no reference to
+/// the analyzed store).
 class AnalysisResult {
 public:
     [[nodiscard]] const std::vector<InstanceAnalysis>& instances()
@@ -105,29 +103,26 @@ public:
         const runtime::ProfilingSession& session,
         par::ThreadPool* pool = nullptr) const;
 
-    /// Analyze explicit instance metadata + a finalized store (e.g. a
-    /// trace deserialized with runtime::read_trace).  The store must
-    /// outlive the result.  Runs over the store's columnar view with the
-    /// vectorized kernels (DESIGN.md §11); the profiles keep their AoS
-    /// event spans so reports and the HTML export still see events().
+    /// Analyze explicit instance metadata + a store (e.g. a trace
+    /// deserialized with runtime::read_trace).  Runs over the store's
+    /// columns with the vectorized kernels (DESIGN.md §11).
     [[nodiscard]] AnalysisResult analyze(
         const std::vector<runtime::InstanceInfo>& instances,
         const runtime::ProfileStore& store,
         par::ThreadPool* pool = nullptr) const;
 
     /// Analyze a bare columnar store (the zero-copy DST1 path,
-    /// runtime::read_trace_columns): identical verdicts without any AoS
-    /// events behind them — profiles have empty events() spans.  The
-    /// store must outlive the result.
+    /// runtime::read_trace_columns).
     [[nodiscard]] AnalysisResult analyze(
         const std::vector<runtime::InstanceInfo>& instances,
         const runtime::ColumnStore& columns,
         par::ThreadPool* pool = nullptr) const;
 
-    /// The pre-columnar AoS implementation, kept as the differential
-    /// reference: per-event RuntimeProfile construction, per-step pattern
-    /// machine, instance-count work partitioning.  The differential suite
-    /// and the benchmark baseline compare analyze() against this.
+    /// The pre-columnar per-event implementation, kept as the differential
+    /// reference: each instance's rows rebuilt as AccessEvent records,
+    /// per-event RuntimeProfile construction, per-step pattern machine,
+    /// instance-count work partitioning.  The differential suite and the
+    /// benchmark baseline compare analyze() against this.
     [[nodiscard]] AnalysisResult analyze_reference(
         const std::vector<runtime::InstanceInfo>& instances,
         const runtime::ProfileStore& store,
@@ -157,9 +152,7 @@ public:
 private:
     [[nodiscard]] AnalysisResult analyze_columns_impl(
         const std::vector<runtime::InstanceInfo>& instances,
-        const runtime::ColumnStore& columns,
-        const runtime::ProfileStore* aos_store, par::ThreadPool* pool,
-        std::size_t total_events) const;
+        const runtime::ColumnStore& columns, par::ThreadPool* pool) const;
 
     DetectorConfig config_;
     PatternDetector detector_;

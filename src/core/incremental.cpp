@@ -87,7 +87,11 @@ double StreamReport::search_space_reduction() const noexcept {
 IncrementalAnalyzer::State& IncrementalAnalyzer::state_for(
     runtime::InstanceId id) {
     if (id >= states_.size()) {
-        states_.reserve(id + 1);
+        // One allocation when an id jumps ahead; doubling when ids arrive
+        // one by one keeps declaring n instances linear.
+        if (id >= states_.capacity())
+            states_.reserve(
+                std::max<std::size_t>(id + 1, 2 * states_.capacity()));
         while (states_.size() <= id) {
             states_.emplace_back();
             states_.back().machine =

@@ -3,8 +3,8 @@
 // InstanceStats is everything the eight use-case rules (Section III-B)
 // consume, reduced to O(1) numbers per instance.  Two producers fill it:
 //
-//   * compute_instance_stats — post-mortem, from a finalized RuntimeProfile
-//     and its detected patterns (use_cases.cpp);
+//   * compute_instance_stats — post-mortem, from a RuntimeProfile, its
+//     event sequence and its detected patterns (use_cases.cpp);
 //   * IncrementalAnalyzer — streaming, folding one event at a time
 //     (incremental.hpp, DESIGN.md §8).
 //
@@ -15,6 +15,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "core/access_type.hpp"
 #include "core/detector_config.hpp"
@@ -135,11 +136,12 @@ struct InstanceStats {
     std::uint32_t tail_last_size = 0;  ///< Size at the profile's last event.
 };
 
-/// Post-mortem producer: reduce a finalized profile + its patterns to the
-/// aggregate form.  `patterns` must come from a PatternDetector with the
-/// same configuration, run over the same profile.
+/// Post-mortem producer: reduce a profile, the event sequence it was built
+/// from and its patterns to the aggregate form.  `patterns` must come from
+/// a PatternDetector with the same configuration, run over `events`.
 [[nodiscard]] InstanceStats compute_instance_stats(
-    const RuntimeProfile& profile, const std::vector<Pattern>& patterns,
-    const DetectorConfig& config);
+    const RuntimeProfile& profile,
+    std::span<const runtime::AccessEvent> events,
+    const std::vector<Pattern>& patterns, const DetectorConfig& config);
 
 }  // namespace dsspy::core

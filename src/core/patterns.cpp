@@ -7,9 +7,8 @@
 namespace dsspy::core {
 
 std::vector<Pattern> PatternDetector::detect(
-    const RuntimeProfile& profile) const {
+    std::span<const runtime::AccessEvent> events) const {
     std::vector<Pattern> out;
-    const auto events = profile.events();
     if (events.empty()) return out;
 
     detail::PatternMachine machine(config_.min_pattern_events);

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -86,15 +87,18 @@ struct Pattern {
     friend bool operator==(const Pattern&, const Pattern&) = default;
 };
 
-/// Locates the eight patterns in a runtime profile.
+/// Locates the eight patterns in an instance's event sequence (the
+/// per-event reference detector; the analysis runs the columnar twin,
+/// detect_patterns_columns).
 class PatternDetector {
 public:
     explicit PatternDetector(DetectorConfig config = {})
         : config_(config) {}
 
-    /// All patterns of the profile, ordered by first event index.
+    /// All patterns of the sequence (in `seq` order), ordered by first
+    /// event index.
     [[nodiscard]] std::vector<Pattern> detect(
-        const RuntimeProfile& profile) const;
+        std::span<const runtime::AccessEvent> events) const;
 
     [[nodiscard]] const DetectorConfig& config() const noexcept {
         return config_;

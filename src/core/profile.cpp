@@ -6,15 +6,15 @@ namespace dsspy::core {
 
 RuntimeProfile::RuntimeProfile(runtime::InstanceInfo info,
                                std::span<const runtime::AccessEvent> events)
-    : info_(std::move(info)), events_(events), total_(events.size()) {
-    if (events_.empty()) return;
+    : info_(std::move(info)), total_(events.size()) {
+    if (events.empty()) return;
 
     std::vector<runtime::ThreadId> threads;
-    AccessType current_type = derive_access_type(events_.front().op);
+    AccessType current_type = derive_access_type(events.front().op);
     std::uint32_t phase_start = 0;
 
-    for (std::uint32_t i = 0; i < events_.size(); ++i) {
-        const runtime::AccessEvent& ev = events_[i];
+    for (std::uint32_t i = 0; i < events.size(); ++i) {
+        const runtime::AccessEvent& ev = events[i];
         const AccessType type = derive_access_type(ev.op);
         ++counts_[static_cast<std::size_t>(type)];
         max_size_ = std::max(max_size_, static_cast<std::size_t>(ev.size));
@@ -30,17 +30,15 @@ RuntimeProfile::RuntimeProfile(runtime::InstanceInfo info,
     }
     phases_.push_back(
         Phase{current_type, phase_start,
-              static_cast<std::uint32_t>(events_.size()) - 1});
+              static_cast<std::uint32_t>(events.size()) - 1});
 
-    duration_ns_ = events_.back().time_ns - events_.front().time_ns;
+    duration_ns_ = events.back().time_ns - events.front().time_ns;
     thread_count_ = threads.size();
 }
 
 RuntimeProfile::RuntimeProfile(runtime::InstanceInfo info,
-                               std::span<const runtime::AccessEvent> events,
                                ProfileAggregates aggregates)
     : info_(std::move(info)),
-      events_(events),
       total_(aggregates.total_events),
       counts_(aggregates.counts),
       phases_(std::move(aggregates.phases)),

@@ -2,10 +2,11 @@
 //
 // "We use runtime profiles that contain all access events to a data
 // structure instance from initialization to deallocation in chronological
-// order" (Section II-B).  RuntimeProfile is a read-only view over the
-// finalized ProfileStore events of one instance plus derived aggregates
-// the use-case rules need: per-access-type counts, event shares, duration,
-// maximum observed size.
+// order" (Section II-B).  RuntimeProfile holds the aggregates of one
+// instance's event sequence that the use-case rules need: per-access-type
+// counts, event shares, phases, duration, maximum observed size.  The
+// events themselves stay in the store's columns; code that walks them
+// (the reference detectors, the charts) takes them as an argument.
 #pragma once
 
 #include <array>
@@ -23,7 +24,7 @@ namespace dsspy::core {
 /// ("DSspy executes the phase detection on the access profiles".)
 struct Phase {
     AccessType type = AccessType::Read;
-    std::uint32_t first = 0;   ///< Index of the first event (into events()).
+    std::uint32_t first = 0;   ///< Index of the first event.
     std::uint32_t last = 0;    ///< Index of the last event (inclusive).
     [[nodiscard]] std::size_t length() const noexcept {
         return static_cast<std::size_t>(last) - first + 1;
@@ -32,8 +33,8 @@ struct Phase {
 
 /// Aggregates precomputed by the columnar analysis path.  The kernel
 /// scans over raw columns (DESIGN.md §11) produce exactly the numbers the
-/// AoS constructor below would derive, so profiles built either way are
-/// indistinguishable to the use-case rules.
+/// event-sequence constructor below derives, so profiles built either way
+/// are indistinguishable to the use-case rules.
 struct ProfileAggregates {
     std::size_t total_events = 0;
     std::array<std::size_t, kAccessTypeCount> counts{};
@@ -43,32 +44,21 @@ struct ProfileAggregates {
     std::size_t thread_count = 0;
 };
 
-/// Read-only analysis view of one instance's event sequence.
+/// Read-only aggregate view of one instance's event sequence.
 class RuntimeProfile {
 public:
     RuntimeProfile() = default;
 
-    /// Build from the instance metadata and its finalized event span.
+    /// Build from the instance metadata and its event sequence in `seq`
+    /// order (the span is only read during construction).
     RuntimeProfile(runtime::InstanceInfo info,
                    std::span<const runtime::AccessEvent> events);
 
-    /// Build from kernel-computed aggregates; `events` may be empty when
-    /// the caller analyzed raw columns without materializing AccessEvent
-    /// rows (the zero-copy trace path).
-    RuntimeProfile(runtime::InstanceInfo info,
-                   std::span<const runtime::AccessEvent> events,
-                   ProfileAggregates aggregates);
+    /// Build from kernel-computed aggregates (the columnar analysis).
+    RuntimeProfile(runtime::InstanceInfo info, ProfileAggregates aggregates);
 
     [[nodiscard]] const runtime::InstanceInfo& info() const noexcept {
         return info_;
-    }
-
-    /// The instance's event rows.  Empty for profiles built from column
-    /// aggregates without an AoS mirror — use total_events() for the real
-    /// event count.
-    [[nodiscard]] std::span<const runtime::AccessEvent> events()
-        const noexcept {
-        return events_;
     }
 
     [[nodiscard]] std::size_t total_events() const noexcept {
@@ -117,7 +107,6 @@ public:
 
 private:
     runtime::InstanceInfo info_;
-    std::span<const runtime::AccessEvent> events_;
     std::size_t total_ = 0;
     std::array<std::size_t, kAccessTypeCount> counts_{};
     std::vector<Phase> phases_;

@@ -26,9 +26,10 @@ std::string_view recommended_action(UseCaseKind kind) noexcept {
     return advice_action_text(advice_action_for(kind));
 }
 
-InstanceStats compute_instance_stats(const RuntimeProfile& profile,
-                                     const std::vector<Pattern>& patterns,
-                                     const DetectorConfig& config) {
+InstanceStats compute_instance_stats(
+    const RuntimeProfile& profile,
+    std::span<const runtime::AccessEvent> events,
+    const std::vector<Pattern>& patterns, const DetectorConfig& config) {
     InstanceStats s;
     s.info = profile.info();
     s.total = profile.total_events();
@@ -38,7 +39,6 @@ InstanceStats compute_instance_stats(const RuntimeProfile& profile,
     s.duration_ns = profile.duration_ns();
     s.max_size = profile.max_size();
 
-    const auto events = profile.events();
     for (const runtime::AccessEvent& ev : events) {
         accumulate_end_traffic(s.iq_traffic, ev, config.iq_end_window);
         accumulate_end_traffic(s.edge_traffic, ev, 1);
@@ -102,8 +102,10 @@ InstanceStats compute_instance_stats(const RuntimeProfile& profile,
 
 std::vector<UseCase> UseCaseEngine::classify(
     const RuntimeProfile& profile,
+    std::span<const runtime::AccessEvent> events,
     const std::vector<Pattern>& patterns) const {
-    return classify(compute_instance_stats(profile, patterns, config_));
+    return classify(
+        compute_instance_stats(profile, events, patterns, config_));
 }
 
 std::vector<UseCase> UseCaseEngine::classify(const InstanceStats& s) const {

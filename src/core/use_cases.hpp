@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -149,11 +150,13 @@ class UseCaseEngine {
 public:
     explicit UseCaseEngine(DetectorConfig config = {}) : config_(config) {}
 
-    /// Classify a profile.  `patterns` must come from a PatternDetector
-    /// with the same configuration, run over the same profile.  Equivalent
-    /// to `classify(compute_instance_stats(profile, patterns, config()))`.
+    /// Classify a profile built from `events`.  `patterns` must come from
+    /// a PatternDetector with the same configuration, run over `events`.
+    /// Equivalent to
+    /// `classify(compute_instance_stats(profile, events, patterns, config()))`.
     [[nodiscard]] std::vector<UseCase> classify(
         const RuntimeProfile& profile,
+        std::span<const runtime::AccessEvent> events,
         const std::vector<Pattern>& patterns) const;
 
     /// Classify from pre-folded aggregates.  This is the single emission

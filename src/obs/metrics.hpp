@@ -91,7 +91,7 @@ public:
     MetricsRegistry(const MetricsRegistry&) = delete;
     MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-    /// The process-wide registry every DSSPY_SPAN and pipeline
+    /// The process-wide registry every DSSPY_TRACE_SPAN and pipeline
     /// instrumentation site reports into.
     static MetricsRegistry& global();
 

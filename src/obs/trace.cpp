@@ -240,7 +240,7 @@ void TraceRecorder::open_pop(ThreadBuffer& buf) noexcept {
 ScopedSpan::ScopedSpan(const char* name, const TraceContext* parent,
                        MetricId metric) noexcept
     : name_(name), metric_(metric) {
-    // Metric leg: identical to the old SpanTimer (span.hpp).
+    // Metric leg: the "span.<name>" histogram, timed on support::now_ns().
     if (metric_ != kInvalidMetric && enabled())
         metric_start_ns_ = support::now_ns();
     if (!trace_enabled()) return;

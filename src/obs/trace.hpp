@@ -52,7 +52,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
 #include "support/stopwatch.hpp"
 
 namespace dsspy::obs {
@@ -70,7 +69,7 @@ struct TraceContext {
 };
 
 /// One completed span.  start/end use support::now_ns() — the same
-/// monotonic source as capture timestamps and DSSPY_SPAN histograms, so
+/// monotonic source as capture timestamps and the span histograms, so
 /// all three compare directly.
 struct SpanRecord {
     SpanId id = 0;
@@ -256,9 +255,8 @@ private:
 
 /// RAII span: one trace record on the global recorder (when tracing is
 /// on) plus, optionally, an observation into a "span.<name>" histogram
-/// (when metrics are on) — so DSSPY_TRACE_SPAN sites keep feeding the
-/// exact histograms DSSPY_SPAN fed before the upgrade.  Costs two
-/// relaxed loads when both layers are off.
+/// (when metrics are on).  Costs two relaxed loads when both layers are
+/// off.
 class ScopedSpan {
 public:
     /// Parent = the thread's current context (normal nesting).
@@ -303,11 +301,20 @@ private:
     std::string annotations_;
 };
 
+/// Register (once) the span histogram for `name` under "span.<name>".
+inline MetricId span_metric(std::string_view name) {
+    return MetricsRegistry::global().histogram(std::string("span.") +
+                                               std::string(name));
+}
+
 }  // namespace dsspy::obs
+
+#define DSSPY_OBS_CAT2(a, b) a##b
+#define DSSPY_OBS_CAT(a, b) DSSPY_OBS_CAT2(a, b)
 
 /// Time the enclosing scope into histogram "span.<name>" AND record it as
 /// a span in the trace tree (each layer subject to its own enable flag).
-/// `name` must be a string literal.  Drop-in upgrade for DSSPY_SPAN.
+/// `name` must be a string literal.
 #define DSSPY_TRACE_SPAN(name)                                             \
     static const ::dsspy::obs::MetricId DSSPY_OBS_CAT(dsspy_tspan_id_,     \
                                                       __LINE__) =          \

@@ -9,7 +9,7 @@
 // byte-identity).
 //
 // The driver pool is deliberately separate from the analysis pool: jobs
-// block inside parallel sections (store finalize, per-instance analysis),
+// block inside parallel sections (chunk decode, per-instance analysis),
 // and running those sections on the pool that also runs the jobs could
 // starve — every worker parked in a job waiting for chunk tasks that no
 // free worker can pick up.

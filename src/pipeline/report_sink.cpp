@@ -178,8 +178,9 @@ public:
     }
     bool emit(const RunOutcome& outcome, std::ostream&,
               std::ostream& err) override {
-        if (!outcome.analysis) return true;
-        if (viz::write_html_report_file(path_, *outcome.analysis)) {
+        if (!outcome.analysis || outcome.store() == nullptr) return true;
+        if (viz::write_html_report_file(path_, *outcome.analysis,
+                                        outcome.store()->columns())) {
             err << "Wrote " << path_ << '\n';
             return true;
         }

@@ -20,7 +20,6 @@
 #include "core/incremental.hpp"
 #include "runtime/session.hpp"
 #include "runtime/trace_io.hpp"
-#include "runtime/trace_mmap.hpp"
 
 namespace dsspy::pipeline {
 
@@ -130,8 +129,8 @@ inline constexpr int kExitUsageError = 2;
 
 /// Typed result of executing one RunPlan.  Exactly one of `analysis` /
 /// `stream` is engaged on success (postmortem vs incremental engine); the
-/// outcome owns the session/trace backing them, because an AnalysisResult
-/// holds spans into its session's ProfileStore.
+/// outcome owns the session/trace behind `analysis`, whose store the
+/// event-level outputs (HTML charts) read.
 struct RunOutcome {
     int exit_code = kExitOk;
     std::string label;       ///< The plan's display name.
@@ -146,15 +145,19 @@ struct RunOutcome {
     std::optional<core::AnalysisResult> analysis;  ///< Post-mortem result.
     std::optional<core::StreamReport> stream;      ///< Incremental result.
 
-    /// Backing storage for `analysis` (live runs / trace loads).  Binary
-    /// traces analyzed without event-level outputs load as columns only
-    /// (`column_trace`, DESIGN.md §11); everything else fills `trace` or
-    /// `session`.
+    /// Backing storage for `analysis`: the live run's session or the
+    /// loaded trace.
     std::unique_ptr<runtime::ProfilingSession> session;
     std::unique_ptr<runtime::Trace> trace;
-    std::unique_ptr<runtime::ColumnTrace> column_trace;
 
     [[nodiscard]] bool ok() const noexcept { return exit_code == kExitOk; }
+
+    /// The store `analysis` was computed from (null when neither backing
+    /// is engaged).
+    [[nodiscard]] const runtime::ProfileStore* store() const noexcept {
+        if (session) return &session->store();
+        return trace ? &trace->store : nullptr;
+    }
 };
 
 }  // namespace dsspy::pipeline

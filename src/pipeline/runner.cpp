@@ -155,38 +155,6 @@ RunOutcome PipelineRunner::run_trace(const RunPlan& plan, std::ostream& out,
         return outcome;
     }
 
-    // Post-mortem DST1 analysis that never touches event-level outputs
-    // (no trace re-emission, no HTML event timeline) can skip the AoS
-    // store entirely: mmap the file and decode straight into columns.
-    // Half the peak memory, and the analysis runs on the same columnar
-    // kernels either way, so verdicts are identical.
-    if (plan.trace_out.empty() && plan.outputs.html_path.empty() &&
-        runtime::is_binary_trace_file(plan.target)) {
-        auto columns = std::make_unique<runtime::ColumnTrace>();
-        try {
-            *columns = runtime::read_trace_columns_file(plan.target, &pool());
-        } catch (const std::runtime_error& e) {
-            return fail_runtime(outcome.label,
-                                "Cannot read trace " + plan.target + ": " +
-                                    e.what(),
-                                err);
-        }
-        if (columns->instances.empty() &&
-            columns->columns.total_events() == 0)
-            return fail_runtime(outcome.label,
-                                "No trace data in " + plan.target, err);
-        outcome.events = columns->columns.total_events();
-        if (plan.outputs.any_analysis_output()) {
-            const core::Dsspy analyzer(plan.config);
-            outcome.analysis = analyzer.analyze(columns->instances,
-                                                columns->columns, &pool());
-        }
-        outcome.column_trace = std::move(columns);
-        if (!emit_reports(plan.outputs, outcome, out, err))
-            outcome.exit_code = kExitRuntimeError;
-        return outcome;
-    }
-
     auto trace = std::make_unique<runtime::Trace>();
     try {
         *trace = runtime::read_trace_file(plan.target, &pool());

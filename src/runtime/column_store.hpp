@@ -1,19 +1,18 @@
-// Structure-of-arrays view of the recorded event stream (DESIGN.md §11).
+// The stored form of recorded events (DESIGN.md §11).
 //
 // The post-mortem detectors are per-field scans: access-type histograms,
-// position-regularity streaks, end-traffic window counts.  Run over the
-// AoS ProfileStore they drag all 32 bytes of every AccessEvent through the
-// cache to look at one or two fields.  The ColumnStore keeps each field in
-// its own contiguous array — timestamps, positions, sizes, op kinds,
-// thread ids — with events grouped into one half-open row range per
-// instance, in the same per-instance `seq` order the finalized AoS store
-// holds.  Detector kernels (core/detector_kernels.hpp) then stream exactly
-// the bytes they need, and the SIMD paths get unit-stride loads for free.
+// position-regularity streaks, end-traffic window counts.  The ColumnStore
+// keeps each event field in its own contiguous array — seqs, timestamps,
+// positions, sizes, op kinds, thread ids — with events grouped into one
+// half-open row range per instance, ascending `seq` within each range.
+// Detector kernels (core/detector_kernels.hpp) then stream exactly the
+// bytes they need, and the SIMD paths get unit-stride loads for free.
 //
-// Two producers fill it:
-//   * ProfileStore::columns() — transposed from the finalized AoS store;
-//   * runtime::read_trace_columns — decoded straight out of mmapped DST1
-//     chunks without materializing AccessEvent records (trace_mmap.hpp).
+// Every producer builds it through one grouping routine, ColumnStore::group:
+//   * capture stop() — straight out of the sealed per-thread chunks (or
+//     the batches a Streaming collector staged), via ProfileStore;
+//   * the CSV trace reader — from its parsed event batches;
+//   * the DST1 column decoder (trace_mmap.hpp) — from decoded rows.
 #pragma once
 
 #include <cstddef>
@@ -34,31 +33,37 @@ struct ColumnRange {
     [[nodiscard]] bool empty() const noexcept { return begin == end; }
 };
 
-/// Five per-field event columns plus the per-instance row ranges.
+/// Six per-field event columns plus the per-instance row ranges.
 ///
-/// Rows within one instance's range are in ascending `seq` order (the
-/// chronological order RuntimeProfile expects); `seq` itself is not stored
-/// — it only exists to establish that order and is dropped once rows are
-/// placed.
+/// Instances occupy consecutive ranges in id order.  Rows within one range
+/// are in ascending `seq` order (the chronological order RuntimeProfile
+/// expects); rows with equal `seq` keep their input order.
 class ColumnStore {
 public:
+    /// The grouping routine.  Takes the rows of `blocks`, in order, as one
+    /// row sequence; places them by instance with a stable counting
+    /// scatter, then sorts by `seq` only the instance ranges whose `seq`
+    /// is not already ascending.  Rows targeting kInvalidInstance are
+    /// dropped.
+    [[nodiscard]] static ColumnStore group(
+        std::span<const std::span<const AccessEvent>> blocks);
+
+    /// The same routine over decoded rows: `rows` holds every field column
+    /// (its ranges are ignored) and `instances[i]` is row i's instance.
+    /// Rows already grouped in id order with ascending `seq` stay where
+    /// they are; only the ranges are computed.
+    [[nodiscard]] static ColumnStore group(
+        ColumnStore rows, std::span<const InstanceId> instances);
+
     /// Discard all rows and ranges.
     void clear();
 
-    /// Size all columns for `rows` events and `instance_slots` range slots
-    /// (builder step; rows are filled through the mutable column pointers).
-    void allocate(std::size_t rows, std::size_t instance_slots);
-
-    /// Assign the row range of one instance (builder step).
-    void set_range(InstanceId id, std::size_t begin, std::size_t end);
-
-    /// Transpose one instance's AoS event sequence into rows
-    /// [`first_row`, `first_row + events.size()`) and record its range.
-    void place_events(InstanceId id, std::size_t first_row,
-                      std::span<const AccessEvent> events);
+    /// Size all columns for `rows` ungrouped rows (decoder step: fill them
+    /// through the mutable column pointers, then group()).
+    void resize(std::size_t rows);
 
     [[nodiscard]] std::size_t total_events() const noexcept {
-        return time_ns_.size();
+        return seq_.size();
     }
     [[nodiscard]] std::size_t instance_slots() const noexcept {
         return ranges_.size();
@@ -71,6 +76,9 @@ public:
     }
 
     // Read-only columns; all have total_events() entries.
+    [[nodiscard]] const std::uint64_t* seq() const noexcept {
+        return seq_.data();
+    }
     [[nodiscard]] const std::uint64_t* time_ns() const noexcept {
         return time_ns_.data();
     }
@@ -87,7 +95,8 @@ public:
         return thread_.data();
     }
 
-    // Mutable column pointers for builders.  Only valid after allocate().
+    // Mutable column pointers for decoders.  Only valid after resize().
+    [[nodiscard]] std::uint64_t* mutable_seq() noexcept { return seq_.data(); }
     [[nodiscard]] std::uint64_t* mutable_time_ns() noexcept {
         return time_ns_.data();
     }
@@ -102,11 +111,11 @@ public:
         return thread_.data();
     }
 
-    /// Reconstruct one row as an AccessEvent (tests and debugging; `seq`
-    /// is synthesized as the row index, not the original capture seq).
+    /// Reconstruct one row as an AccessEvent.  The instance is not stored
+    /// per row, so it is left at kInvalidInstance.
     [[nodiscard]] AccessEvent row(std::size_t i) const noexcept {
         AccessEvent ev;
-        ev.seq = i;
+        ev.seq = seq_[i];
         ev.time_ns = time_ns_[i];
         ev.position = position_[i];
         ev.size = size_[i];
@@ -116,6 +125,10 @@ public:
     }
 
 private:
+    template <typename ForEachRow>
+    friend ColumnStore group_rows(ForEachRow&& for_each_row);
+
+    std::vector<std::uint64_t> seq_;
     std::vector<std::uint64_t> time_ns_;
     std::vector<std::int64_t> position_;
     std::vector<std::uint32_t> size_;

@@ -1,145 +1,114 @@
 #include "runtime/profile_store.hpp"
 
-#include <algorithm>
-
-#include "parallel/parallel_for.hpp"
+#include <utility>
 
 namespace dsspy::runtime {
 
 ProfileStore::ProfileStore(ProfileStore&& other) noexcept {
     std::scoped_lock lock(other.mutex_);
-    per_instance_ = std::move(other.per_instance_);
-    total_ = other.total_;
-    finalized_ = other.finalized_;
+    staged_ = std::move(other.staged_);
     columns_ = std::move(other.columns_);
-    columns_built_ = other.columns_built_;
-    other.per_instance_.clear();
-    other.total_ = 0;
-    other.columns_built_ = false;
+    other.staged_.clear();
+    other.columns_.clear();
 }
 
 ProfileStore& ProfileStore::operator=(ProfileStore&& other) noexcept {
     if (this != &other) {
         std::scoped_lock lock(mutex_, other.mutex_);
-        per_instance_ = std::move(other.per_instance_);
-        total_ = other.total_;
-        finalized_ = other.finalized_;
+        staged_ = std::move(other.staged_);
         columns_ = std::move(other.columns_);
-        columns_built_ = other.columns_built_;
-        other.per_instance_.clear();
-        other.total_ = 0;
-        other.columns_built_ = false;
+        other.staged_.clear();
+        other.columns_.clear();
     }
     return *this;
 }
 
 void ProfileStore::append(std::span<const AccessEvent> events) {
     std::scoped_lock lock(mutex_);
-    // Batch by instance: consecutive events for the same instance (the
-    // common case — a collector drain batch comes from one thread's ring,
-    // and threads tend to work one container at a time) become a single
-    // range insert instead of per-event push_backs.
-    std::size_t i = 0;
-    const std::size_t n = events.size();
-    while (i < n) {
-        const InstanceId inst = events[i].instance;
-        std::size_t j = i + 1;
-        while (j < n && events[j].instance == inst) ++j;
-        if (inst != kInvalidInstance) {
-            if (inst >= per_instance_.size())
-                per_instance_.resize(inst + 1);
-            auto& seq = per_instance_[inst];
-            seq.insert(seq.end(), events.begin() + static_cast<std::ptrdiff_t>(i),
-                       events.begin() + static_cast<std::ptrdiff_t>(j));
-            total_ += j - i;
+    if (staged_.empty() && columns_.total_events() > 0) {
+        // Appending after a read: the grouped rows came first, so they
+        // rejoin the input ahead of the new batch.
+        for (InstanceId id = 0; id < columns_.instance_slots(); ++id) {
+            const std::vector<AccessEvent> rows = events_locked(id);
+            staged_.insert(staged_.end(), rows.begin(), rows.end());
         }
-        i = j;
+        columns_.clear();
     }
-    finalized_ = false;
-    columns_built_ = false;
+    staged_.insert(staged_.end(), events.begin(), events.end());
 }
 
-void ProfileStore::finalize(par::ThreadPool* pool) {
+void ProfileStore::assign(
+    std::span<const std::span<const AccessEvent>> blocks) {
     std::scoped_lock lock(mutex_);
-    auto sort_range = [this](std::size_t lo, std::size_t hi) {
-        for (std::size_t idx = lo; idx < hi; ++idx) {
-            auto& seq = per_instance_[idx];
-            std::sort(seq.begin(), seq.end(),
-                      [](const AccessEvent& a, const AccessEvent& b) {
-                          return a.seq < b.seq;
-                      });
-        }
-    };
-    if (pool != nullptr && per_instance_.size() > 1) {
-        par::parallel_for_chunks(*pool, 0, per_instance_.size(), sort_range);
-    } else {
-        sort_range(0, per_instance_.size());
-    }
-    finalized_ = true;
-    build_columns_locked(pool);
+    staged_.clear();
+    columns_ = ColumnStore::group(blocks);
 }
 
-void ProfileStore::build_columns_locked(par::ThreadPool* pool) const {
-    // Row layout: instances in id order, each instance's events contiguous
-    // and already in seq order after the finalize sort.
-    const std::size_t slots = per_instance_.size();
-    std::vector<std::size_t> offsets(slots + 1, 0);
-    for (std::size_t id = 0; id < slots; ++id)
-        offsets[id + 1] = offsets[id] + per_instance_[id].size();
-    columns_.allocate(offsets[slots], slots);
-    auto place_range = [this, &offsets](std::size_t lo, std::size_t hi) {
-        for (std::size_t id = lo; id < hi; ++id)
-            columns_.place_events(static_cast<InstanceId>(id), offsets[id],
-                                  per_instance_[id]);
-    };
-    // Each instance writes a disjoint row range, so the transpose
-    // parallelizes without synchronization (ranges_ was pre-sized by
-    // allocate; set_range only stores).
-    if (pool != nullptr && slots > 1) {
-        par::parallel_for_chunks(*pool, 0, slots, place_range);
-    } else {
-        place_range(0, slots);
-    }
-    columns_built_ = true;
-}
-
-const ColumnStore& ProfileStore::columns(par::ThreadPool* pool) const {
+void ProfileStore::finalize() {
     std::scoped_lock lock(mutex_);
-    if (!columns_built_) build_columns_locked(pool);
+    group_locked();
+}
+
+void ProfileStore::group_locked() const {
+    if (staged_.empty()) return;
+    const std::span<const AccessEvent> block(staged_);
+    columns_ = ColumnStore::group({&block, 1});
+    staged_ = {};  // release the staging copy: events live once
+}
+
+const ColumnStore& ProfileStore::columns() const {
+    std::scoped_lock lock(mutex_);
+    group_locked();
     return columns_;
 }
 
-std::span<const AccessEvent> ProfileStore::events(InstanceId id) const {
+std::vector<AccessEvent> ProfileStore::events_locked(InstanceId id) const {
+    const ColumnRange range = columns_.range(id);
+    std::vector<AccessEvent> out;
+    out.reserve(range.size());
+    for (std::size_t r = range.begin; r < range.end; ++r) {
+        AccessEvent ev = columns_.row(r);
+        ev.instance = id;
+        out.push_back(ev);
+    }
+    return out;
+}
+
+std::vector<AccessEvent> ProfileStore::events(InstanceId id) const {
     std::scoped_lock lock(mutex_);
-    if (id >= per_instance_.size()) return {};
-    return per_instance_[id];
+    group_locked();
+    return events_locked(id);
 }
 
 std::size_t ProfileStore::total_events() const {
     std::scoped_lock lock(mutex_);
-    return total_;
+    group_locked();
+    return columns_.total_events();
 }
 
 std::size_t ProfileStore::populated_instances() const {
     std::scoped_lock lock(mutex_);
+    group_locked();
     std::size_t count = 0;
-    for (const auto& seq : per_instance_)
-        if (!seq.empty()) ++count;
+    for (InstanceId id = 0; id < columns_.instance_slots(); ++id)
+        if (!columns_.range(id).empty()) ++count;
     return count;
 }
 
 std::size_t ProfileStore::instance_slots() const {
     std::scoped_lock lock(mutex_);
-    return per_instance_.size();
+    group_locked();
+    return columns_.instance_slots();
 }
 
 std::size_t ProfileStore::orphan_events(
     std::size_t registered_instances) const {
     std::scoped_lock lock(mutex_);
+    group_locked();
     std::size_t orphans = 0;
-    for (std::size_t id = registered_instances; id < per_instance_.size();
-         ++id)
-        orphans += per_instance_[id].size();
+    for (std::size_t id = registered_instances;
+         id < columns_.instance_slots(); ++id)
+        orphans += columns_.range(static_cast<InstanceId>(id)).size();
     return orphans;
 }
 

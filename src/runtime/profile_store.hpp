@@ -2,8 +2,11 @@
 //
 // The dynamic-analysis module keeps the execution slowdown low "by only
 // recording the access events at runtime and analyzing them post-mortem"
-// (Section IV).  The ProfileStore is where recorded events land; the
-// analysis in `core/` reads event sequences per instance from here.
+// (Section IV).  The ProfileStore is where recorded events land: a
+// thread-safe builder around the ColumnStore, which is the only stored
+// form of the events.  Capture stop() hands it the sealed per-thread
+// chunks, which are grouped into columns in one pass; other producers
+// stage batches with append() and the store groups them on first read.
 #pragma once
 
 #include <cstddef>
@@ -14,20 +17,18 @@
 #include "runtime/access_event.hpp"
 #include "runtime/column_store.hpp"
 
-namespace dsspy::par {
-class ThreadPool;
-}
-
 namespace dsspy::runtime {
 
-/// Accumulates events per instance; thread-safe for concurrent appends.
-///
-/// Events within one instance are kept sorted by `seq` (the collector may
-/// interleave drains from several producer rings out of order; `finalize`
-/// restores the global total order).
+/// Holds every event once, as columns grouped by instance
+/// (ColumnStore::group); thread-safe for concurrent appends.
 class ProfileStore {
 public:
     ProfileStore() = default;
+
+    /// Adopt an already grouped column store (the DST1 column decoder's
+    /// output).
+    explicit ProfileStore(ColumnStore columns) noexcept
+        : columns_(std::move(columns)) {}
 
     /// Movable (single-threaded contexts only — the source must not be
     /// receiving concurrent appends).
@@ -36,28 +37,28 @@ public:
     ProfileStore(const ProfileStore&) = delete;
     ProfileStore& operator=(const ProfileStore&) = delete;
 
-    /// Append a batch of events (collector thread or merge path).  Runs of
-    /// consecutive events targeting the same instance are bulk-inserted.
+    /// Stage a batch of events (collector thread, trace readers, tests).
+    /// Staged events join the columns on the next read or finalize();
+    /// appending to a store that was already read regroups its earlier
+    /// rows too, ahead of the new ones.
     void append(std::span<const AccessEvent> events);
 
-    /// Sort all per-instance sequences by `seq` and build the columnar
-    /// (SoA) view.  Call once after capture.  With a pool, the per-instance
-    /// sorts and the column transpose run in parallel (the result is
-    /// identical: `seq` values are globally unique, so the comparator is a
-    /// strict total order, and each instance fills a disjoint row range).
-    void finalize(par::ThreadPool* pool = nullptr);
+    /// Replace the contents with the rows of `blocks`, grouped straight
+    /// out of the caller's buffers (capture stop(): the sealed chunks).
+    void assign(std::span<const std::span<const AccessEvent>> blocks);
 
-    /// Structure-of-arrays view of all events (DESIGN.md §11): one
-    /// contiguous row range per instance, rows in per-instance `seq`
-    /// order.  Built by finalize (or lazily here); invalidated by append.
-    /// The returned reference is invalidated by further appends.
-    [[nodiscard]] const ColumnStore& columns(
-        par::ThreadPool* pool = nullptr) const;
+    /// Group the staged events now (reads do it on demand).
+    void finalize();
 
-    /// Event sequence of one instance (empty if none were recorded).
-    /// Only valid to call after `finalize()`; the returned span is
-    /// invalidated by further appends.
-    [[nodiscard]] std::span<const AccessEvent> events(InstanceId id) const;
+    /// The columns: one contiguous row range per instance, rows in
+    /// per-instance `seq` order (DESIGN.md §11).  The returned reference
+    /// is invalidated by further appends.
+    [[nodiscard]] const ColumnStore& columns() const;
+
+    /// Event sequence of one instance (empty if none were recorded),
+    /// rebuilt from its column rows.  For tests, benches and examples; the
+    /// analysis reads columns().
+    [[nodiscard]] std::vector<AccessEvent> events(InstanceId id) const;
 
     /// Total number of stored events.
     [[nodiscard]] std::size_t total_events() const;
@@ -79,14 +80,12 @@ public:
         std::size_t registered_instances) const;
 
 private:
-    void build_columns_locked(par::ThreadPool* pool) const;
+    void group_locked() const;
+    [[nodiscard]] std::vector<AccessEvent> events_locked(InstanceId id) const;
 
     mutable std::mutex mutex_;
-    std::vector<std::vector<AccessEvent>> per_instance_;
-    std::size_t total_ = 0;
-    bool finalized_ = false;
+    mutable std::vector<AccessEvent> staged_;  ///< Appended, not grouped.
     mutable ColumnStore columns_;
-    mutable bool columns_built_ = false;
 };
 
 }  // namespace dsspy::runtime

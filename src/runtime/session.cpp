@@ -10,7 +10,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "parallel/thread_pool.hpp"
 #include "support/stopwatch.hpp"
 
 namespace dsspy::runtime {
@@ -55,10 +54,6 @@ const CaptureMetricIds& capture_metrics() {
     }();
     return ids;
 }
-
-/// Events below this count are finalized sequentially; above it the
-/// per-instance sorts go to the shared thread pool.
-constexpr std::size_t kParallelFinalizeThreshold = 1u << 16;
 
 /// Collector backoff: yield this many empty rounds before sleeping.
 constexpr unsigned kCollectorYieldRounds = 32;
@@ -504,29 +499,38 @@ void ProfilingSession::stop() {
             chan->sealed.store(true, std::memory_order_release);
         if (has_sink_.load(std::memory_order_acquire))
             buffered_merge_to_sink();
-        if (analysis_ == AnalysisMode::Postmortem) {
+    }
+    {
+        DSSPY_TRACE_SPAN("capture.finalize");
+        if (mode_ == CaptureMode::Streaming) {
+            store_.finalize();  // groups the batches the collector staged
+        } else if (analysis_ == AnalysisMode::Postmortem) {
+            // Group straight out of the sealed chunks.  The acquire pairs
+            // with the release in record(): exactly the events whose
+            // writes are fully published are taken.
+            std::vector<std::span<const AccessEvent>> blocks;
             for (Channel* chan =
                      channels_head_.load(std::memory_order_acquire);
                  chan != nullptr; chan = chan->next) {
-                // The acquire pairs with the release in record(): exactly
-                // the events whose writes are fully published are merged.
                 std::uint64_t remaining =
                     chan->events.load(std::memory_order_acquire);
                 for (const Channel::Chunk& chunk : chan->chunks) {
                     if (remaining == 0) break;
                     const std::size_t n = static_cast<std::size_t>(
                         std::min<std::uint64_t>(remaining, chunk.capacity));
-                    store_.append(std::span(chunk.events.get(), n));
+                    blocks.emplace_back(chunk.events.get(), n);
                     remaining -= n;
                 }
             }
+            store_.assign(blocks);
         }
-    }
-    {
-        DSSPY_TRACE_SPAN("capture.finalize");
-        store_.finalize(store_.total_events() >= kParallelFinalizeThreshold
-                            ? &par::ThreadPool::default_pool()
-                            : nullptr);
+        // The store now holds every event; the chunks go.
+        for (Channel* chan = channels_head_.load(std::memory_order_acquire);
+             chan != nullptr; chan = chan->next) {
+            chan->chunks.clear();
+            chan->chunks.shrink_to_fit();
+            chan->write_pos = chan->write_end = nullptr;
+        }
     }
 
     if (obs::enabled()) {

@@ -15,9 +15,10 @@
 //   * Sequencing: instead of a globally-contended fetch-add per event, each
 //     thread draws blocks of `kSeqBlockSize` sequence numbers from a global
 //     allocator and numbers its events from the block.  Sequence numbers
-//     stay globally unique and strictly increasing per thread, so sorting
-//     by `seq` at finalize() reconciles them into a deterministic total
-//     order that preserves every thread's program order.
+//     stay globally unique and strictly increasing per thread, so ordering
+//     each instance's rows by `seq` at stop() (ColumnStore::group)
+//     reconciles them into a deterministic total order that preserves
+//     every thread's program order.
 //   * Timestamps: the clock is read once per `kTimestampStride` events per
 //     thread (and at every block boundary); events in between reuse the
 //     last reading.  Timestamps stay monotonic per thread at stride
@@ -105,8 +106,8 @@ public:
     void record(InstanceId instance, OpKind op, std::int64_t position,
                 std::uint32_t size) noexcept;
 
-    /// Stop capture: drain rings / merge buffers, finalize the store.
-    /// Idempotent.
+    /// Stop capture: drain rings / seal buffers and group every event into
+    /// the store's columns, then release the chunks.  Idempotent.
     void stop();
 
     /// True until `stop()` has been called.

@@ -2,18 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
-#include <exception>
 #include <istream>
 #include <limits>
-#include <mutex>
 #include <ostream>
 #include <stdexcept>
 #include <string>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "parallel/parallel_for.hpp"
-#include "parallel/thread_pool.hpp"
 #include "runtime/trace_codec.hpp"
 
 namespace dsspy::runtime {
@@ -103,7 +98,8 @@ void put_event(std::string& out, const AccessEvent& ev,
 // The bounded cursor, control bits, and chunk validation are shared with
 // the columnar mmap decoder — see trace_codec.hpp.
 
-/// Decode exactly `count` events from one chunk payload into `out`.
+/// Decode exactly `count` events from one chunk payload into `out` (the
+/// streaming reader's per-chunk batch).
 void decode_chunk(Cursor cur, std::uint32_t count,
                   std::vector<AccessEvent>& out) {
     out.resize(count);
@@ -286,10 +282,11 @@ bool is_binary_trace(std::string_view bytes) {
 std::size_t write_trace_binary(std::ostream& os,
                                const std::vector<InstanceInfo>& instances,
                                const ProfileStore& store) {
+    const ColumnStore& columns = store.columns();
     const std::vector<InstanceId> order =
-        detail::event_write_order(instances, store);
+        detail::event_write_order(instances, columns);
     std::uint64_t event_count = 0;
-    for (const InstanceId id : order) event_count += store.events(id).size();
+    for (const InstanceId id : order) event_count += columns.range(id).size();
 
     std::string head;
     head.append(kTraceBinaryMagic, sizeof(kTraceBinaryMagic));
@@ -325,7 +322,10 @@ std::size_t write_trace_binary(std::ostream& os,
     };
     std::size_t written = 0;
     for (const InstanceId id : order) {
-        for (const AccessEvent& ev : store.events(id)) {
+        const ColumnRange range = columns.range(id);
+        for (std::size_t row = range.begin; row < range.end; ++row) {
+            AccessEvent ev = columns.row(row);
+            ev.instance = id;
             put_event(payload, ev, prev);
             prev = ev;
             ++written;
@@ -334,98 +334,6 @@ std::size_t write_trace_binary(std::ostream& os,
     }
     flush_chunk();
     return written;
-}
-
-Trace read_trace_binary(std::string_view bytes, par::ThreadPool* pool) {
-    Cursor cur{reinterpret_cast<const unsigned char*>(bytes.data()),
-               reinterpret_cast<const unsigned char*>(bytes.data()) +
-                   bytes.size()};
-    if (!is_binary_trace(bytes)) fail("bad magic (not a DST1 trace)");
-    cur.ptr += sizeof(kTraceBinaryMagic);
-    const std::uint32_t version = cur.u32();
-    if (version != kTraceBinaryVersion)
-        fail("unsupported DST1 version " + std::to_string(version));
-    const std::uint64_t instance_count = cur.u64();
-    const std::uint64_t event_count = cur.u64();
-
-    Trace trace;
-    if (instance_count > cur.remaining())  // each record is >= 7 bytes
-        fail("instance count exceeds input size");
-    trace.instances.reserve(static_cast<std::size_t>(instance_count));
-    for (std::uint64_t i = 0; i < instance_count; ++i) {
-        InstanceInfo info;
-        info.id = checked_narrow<InstanceId>(cur.varint(), "id");
-        const std::uint64_t kind = cur.varint();
-        if (kind >= kDsKindCount) fail("bad kind value");
-        info.kind = static_cast<DsKind>(kind);
-        info.location.position =
-            checked_narrow<std::uint32_t>(cur.varint(), "position");
-        info.type_name = cur.str();
-        info.location.class_name = cur.str();
-        info.location.method = cur.str();
-        info.deallocated = cur.u8() != 0;
-        trace.instances.push_back(std::move(info));
-    }
-
-    // Index the chunks first (headers carry the payload size, so this is a
-    // cheap skip-scan), then decode them — concurrently with a pool.
-    struct ChunkRef {
-        Cursor payload;
-        std::uint32_t count;
-    };
-    std::vector<ChunkRef> chunks;
-    std::uint64_t declared = 0;
-    while (declared < event_count) {
-        if (cur.remaining() < 8) fail("truncated chunk header");
-        const std::uint32_t count = cur.u32();
-        const std::uint32_t payload_bytes = cur.u32();
-        codec::check_chunk_header(count, payload_bytes, cur.remaining());
-        chunks.push_back(ChunkRef{{cur.ptr, cur.ptr + payload_bytes}, count});
-        cur.ptr += payload_bytes;
-        declared += count;
-    }
-    if (declared != event_count) fail("chunk event counts exceed header total");
-    if (cur.ptr != cur.end) fail("trailing bytes after final chunk");
-
-    std::vector<std::vector<AccessEvent>> decoded(chunks.size());
-    DSSPY_TRACE_SPAN("trace.chunk_decode");
-    // Pool shards parent under the decode span explicitly — they run on
-    // pool threads whose TLS context is empty.
-    const obs::TraceContext decode_ctx = obs::current_trace_context();
-    const auto decode_range = [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-            decode_chunk(chunks[i].payload, chunks[i].count, decoded[i]);
-    };
-    if (pool != nullptr && chunks.size() > 1) {
-        // decode_chunk throws on corrupt chunks; capture the first error
-        // and rethrow after the barrier (pool tasks must not leak
-        // exceptions).
-        std::mutex error_mutex;
-        std::exception_ptr error;
-        par::parallel_for_chunks(
-            *pool, 0, chunks.size(), [&](std::size_t lo, std::size_t hi) {
-                DSSPY_TRACE_SPAN_UNDER("trace.decode_shard", decode_ctx);
-                try {
-                    decode_range(lo, hi);
-                } catch (...) {
-                    const std::scoped_lock lock(error_mutex);
-                    if (!error) error = std::current_exception();
-                }
-            });
-        if (error) std::rethrow_exception(error);
-    } else {
-        decode_range(0, chunks.size());
-    }
-    if (obs::enabled())
-        obs::MetricsRegistry::global().add(chunks_decoded_metric(),
-                                           chunks.size());
-
-    // Appending in file order keeps the store bit-identical to a
-    // sequential decode regardless of how the decode itself was scheduled.
-    for (const std::vector<AccessEvent>& batch : decoded)
-        trace.store.append(batch);
-    trace.store.finalize(pool);
-    return trace;
 }
 
 }  // namespace dsspy::runtime

@@ -35,9 +35,9 @@
 //
 // A sequential read sweep is one control byte per event; an append run is
 // two bytes.  Chunk-local baselines keep every chunk independently
-// decodable, which is what lets `read_trace` fan the decode out over a
-// ThreadPool while appending chunks in file order — the store is
-// bit-identical to a sequential decode.
+// decodable, which is what lets the column decoder (trace_mmap.hpp, also
+// behind `read_trace`) fan the decode out over a ThreadPool into disjoint
+// row ranges — bit-identical to a sequential decode.
 #pragma once
 
 #include <cstdint>
@@ -64,22 +64,14 @@ std::size_t write_trace_binary(std::ostream& os,
                                const std::vector<InstanceInfo>& instances,
                                const ProfileStore& store);
 
-/// Decode a complete DST1 byte buffer (including the magic).  Throws
-/// std::runtime_error on truncated or corrupt input (bad magic/version,
-/// unterminated varint, chunk size or event-count mismatch, out-of-range
-/// enum or field values).  With a pool, chunks decode concurrently; the
-/// returned store is finalized and bit-identical to a sequential decode.
-[[nodiscard]] Trace read_trace_binary(std::string_view bytes,
-                                      par::ThreadPool* pool = nullptr);
-
 /// True if `bytes` starts with the DST1 magic.
 [[nodiscard]] bool is_binary_trace(std::string_view bytes);
 
 /// Stream-decode DST1 from `prefix` (bytes already pulled off the stream
 /// by format sniffing) followed by `is`: instances, then one decoded chunk
 /// at a time to `sink`.  Memory stays bounded by one chunk regardless of
-/// trace size.  Same validation and errors as read_trace_binary; returns
-/// the number of events delivered.
+/// trace size.  Same validation and errors as read_trace_columns;
+/// returns the number of events delivered.
 std::size_t read_trace_binary_stream(std::istream& is, std::string_view prefix,
                                      TraceSink& sink);
 

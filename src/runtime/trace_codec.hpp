@@ -1,8 +1,9 @@
 // Shared DST1 decode primitives (format reference: trace_binary.hpp).
 //
-// Two readers consume DST1 payloads: the AoS decoder in trace_binary.cpp
-// (events into a ProfileStore) and the zero-copy columnar decoder in
-// trace_mmap.cpp (fields straight into ColumnStore rows).  Both must agree
+// Two readers consume DST1 payloads: the streaming decoder in
+// trace_binary.cpp (one chunk of events at a time for a TraceSink) and the
+// zero-copy columnar decoder in trace_mmap.cpp (fields straight into
+// ColumnStore rows).  Both must agree
 // byte-for-byte on the wire protocol — control bits, varint/zigzag rules,
 // bounds checks, error strings — so the primitives live here and the
 // decoders share them instead of drifting apart.

@@ -13,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/trace_binary.hpp"
+#include "runtime/trace_mmap.hpp"
 
 namespace dsspy::runtime {
 
@@ -222,17 +223,29 @@ std::size_t write_trace_csv(std::ostream& os,
                             const ProfileStore& store) {
     for (const InstanceInfo& info : instances)
         detail::write_csv_instance_record(os, info);
+    const ColumnStore& columns = store.columns();
     std::size_t events = 0;
-    for (const InstanceId id : detail::event_write_order(instances, store)) {
-        for (const AccessEvent& ev : store.events(id)) {
+    for (const InstanceId id : detail::event_write_order(instances, columns)) {
+        const ColumnRange range = columns.range(id);
+        for (std::size_t row = range.begin; row < range.end; ++row) {
+            AccessEvent ev = columns.row(row);
+            ev.instance = id;
             detail::write_csv_event_record(os, ev);
-            ++events;
         }
+        events += range.size();
     }
     return events;
 }
 
-Trace read_trace_csv(const std::string& data, par::ThreadPool* pool) {
+/// A DST1 column decode as a Trace.
+Trace as_trace(ColumnTrace decoded) {
+    Trace trace;
+    trace.instances = std::move(decoded.instances);
+    trace.store = ProfileStore(std::move(decoded.columns));
+    return trace;
+}
+
+Trace read_trace_csv(const std::string& data) {
     TraceBuildSink sink;
     std::vector<AccessEvent> batch;
     batch.reserve(1024);
@@ -244,7 +257,7 @@ Trace read_trace_csv(const std::string& data, par::ThreadPool* pool) {
     scanner.finish(handle);
     if (!batch.empty()) sink.on_events(batch);
     Trace trace = std::move(sink.trace);
-    trace.store.finalize(pool);
+    trace.store.finalize();
     return trace;
 }
 
@@ -286,10 +299,10 @@ std::size_t read_trace_csv_stream(std::istream& is, std::string_view first,
 namespace detail {
 
 std::vector<InstanceId> event_write_order(
-    const std::vector<InstanceInfo>& instances, const ProfileStore& store) {
+    const std::vector<InstanceInfo>& instances, const ColumnStore& columns) {
     std::vector<InstanceId> order;
     order.reserve(instances.size());
-    std::vector<bool> listed(store.instance_slots(), false);
+    std::vector<bool> listed(columns.instance_slots(), false);
     for (const InstanceInfo& info : instances) {
         order.push_back(info.id);
         if (info.id < listed.size()) listed[info.id] = true;
@@ -298,7 +311,7 @@ std::vector<InstanceId> event_write_order(
     // e.g. by an external tool building traces directly) must still be
     // written — dropping them silently would corrupt the round trip.
     for (InstanceId id = 0; id < listed.size(); ++id)
-        if (!listed[id] && !store.events(id).empty()) order.push_back(id);
+        if (!listed[id] && !columns.range(id).empty()) order.push_back(id);
     return order;
 }
 
@@ -417,8 +430,9 @@ Trace read_trace(std::istream& is, par::ThreadPool* pool) {
     if (is.bad())
         throw std::runtime_error("trace_io: I/O error while reading trace");
     const std::string data = std::move(buffer).str();
-    Trace trace = is_binary_trace(data) ? read_trace_binary(data, pool)
-                                        : read_trace_csv(data, pool);
+    Trace trace = is_binary_trace(data)
+                      ? as_trace(read_trace_columns(data, pool))
+                      : read_trace_csv(data);
     if (obs::enabled()) {
         auto& reg = obs::MetricsRegistry::global();
         reg.add(trace_metrics().bytes_read, data.size());
@@ -446,6 +460,9 @@ bool write_trace_file(const std::string& path, const ProfilingSession& session,
 }
 
 Trace read_trace_file(const std::string& path, par::ThreadPool* pool) {
+    // DST1 files are mmapped instead of slurped; same decoder as read_trace.
+    if (is_binary_trace_file(path))
+        return as_trace(read_trace_columns_file(path, pool));
     std::ifstream in(path, std::ios::binary);
     if (!in)
         throw std::runtime_error("trace_io: cannot open trace file '" + path +

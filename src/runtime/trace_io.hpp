@@ -12,13 +12,15 @@
 //      E,<seq>,<time_ns>,<instance>,<op>,<position>,<size>,<thread>
 //
 //    Instance records come first; event records follow in arbitrary order
-//    (the store is re-sorted on finalize).  Text fields are CSV-escaped;
+//    (the reader groups them by instance and orders each instance by seq,
+//    see ColumnStore::group).  Text fields are CSV-escaped;
 //    quoted fields may span physical lines (a name may contain newlines).
 //
 //  * DST1 — the compact binary format in trace_binary.hpp: a fixed header,
 //    an instance table, then ~64K-event chunks with delta/varint-encoded
 //    fields.  Roughly an order of magnitude smaller and several times
-//    faster to read than CSV; chunks decode in parallel on a ThreadPool.
+//    faster to read than CSV; chunks decode in parallel on a ThreadPool
+//    straight into columns (trace_mmap.hpp).
 //
 // `read_trace` auto-detects the format from the leading magic bytes.
 #pragma once
@@ -47,7 +49,7 @@ enum class TraceFormat {
     Binary,  ///< DST1 chunked binary (compact, fast, parallel-decodable).
 };
 
-/// A deserialized trace: instance metadata plus the finalized store.
+/// A deserialized trace: instance metadata plus the grouped store.
 struct Trace {
     std::vector<InstanceInfo> instances;
     ProfileStore store;
@@ -70,9 +72,9 @@ std::size_t write_trace(std::ostream& os,
 /// Parse a trace written by `write_trace`, auto-detecting the format from
 /// the magic bytes.  Throws std::runtime_error on malformed input (wrong
 /// field counts, non-numeric fields, unknown record tags, truncated or
-/// corrupt binary data).  The returned store is finalized.  With a pool,
-/// binary chunk decode and the finalize sort run in parallel; the result
-/// is bit-identical to the sequential path.
+/// corrupt binary data).  DST1 input goes through the column decoder
+/// (read_trace_columns); with a pool its chunks decode in parallel and the
+/// result is bit-identical to the sequential path.
 [[nodiscard]] Trace read_trace(std::istream& is,
                                par::ThreadPool* pool = nullptr);
 
@@ -140,7 +142,7 @@ namespace detail {
 /// ascending order.  Both the CSV and DST1 writers follow this order, so
 /// cross-format conversions produce identically ordered stores.
 std::vector<InstanceId> event_write_order(
-    const std::vector<InstanceInfo>& instances, const ProfileStore& store);
+    const std::vector<InstanceInfo>& instances, const ColumnStore& columns);
 
 /// Emit one CSV instance/event record (including the trailing newline) in
 /// exactly the encoding write_trace produces.  Shared with the serve

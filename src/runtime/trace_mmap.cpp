@@ -1,13 +1,11 @@
 #include "runtime/trace_mmap.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <exception>
 #include <fstream>
 #include <iterator>
 #include <mutex>
-#include <numeric>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -42,19 +40,18 @@ obs::MetricId column_chunks_metric() {
 }
 
 /// Decode one chunk payload into column rows [first_row, first_row+count)
-/// plus the temporary seq/instance columns used for grouping.  The wire
-/// walk matches trace_binary.cpp's decode_chunk field for field; only the
-/// destination differs (five column writes instead of one struct).
+/// plus the instance column used for grouping.  The wire walk matches
+/// trace_binary.cpp's decode_chunk field for field; only the destination
+/// differs (column writes instead of one struct).
 void decode_chunk_columns(Cursor cur, std::uint32_t count,
                           std::size_t first_row, ColumnStore& columns,
-                          std::uint64_t* seq_col,
-                          std::uint32_t* instance_col) {
+                          InstanceId* instance_col) {
+    std::uint64_t* seq_col = columns.mutable_seq() + first_row;
     std::uint64_t* time_col = columns.mutable_time_ns() + first_row;
     std::int64_t* pos_col = columns.mutable_position() + first_row;
     std::uint32_t* size_col = columns.mutable_sizes() + first_row;
     std::uint8_t* op_col = columns.mutable_op() + first_row;
     std::uint16_t* thread_col = columns.mutable_thread() + first_row;
-    seq_col += first_row;
     instance_col += first_row;
 
     AccessEvent prev = chunk_baseline();
@@ -93,78 +90,6 @@ void decode_chunk_columns(Cursor cur, std::uint32_t count,
         thread_col[i] = prev.thread;
     }
     if (cur.ptr != cur.end) fail("chunk payload longer than declared events");
-}
-
-struct InstanceRun {
-    InstanceId id = 0;
-    std::size_t begin = 0;
-    std::size_t end = 0;
-};
-
-/// Fast path: rows already grouped (every instance one contiguous run, seq
-/// ascending within it — what write_trace emits).  Fills `runs` and
-/// returns true; returns false when a permutation sort is needed.
-bool collect_grouped_runs(const std::uint32_t* instance_col,
-                          const std::uint64_t* seq_col, std::size_t n,
-                          std::vector<InstanceRun>& runs) {
-    runs.clear();
-    std::size_t begin = 0;
-    for (std::size_t i = 1; i <= n; ++i) {
-        if (i < n && instance_col[i] == instance_col[i - 1]) {
-            if (seq_col[i] <= seq_col[i - 1]) return false;  // out of order
-            continue;
-        }
-        runs.push_back(InstanceRun{instance_col[begin], begin, i});
-        begin = i;
-    }
-    // One run per instance?  Duplicate ids mean interleaved blocks.
-    std::vector<InstanceRun> by_id(runs);
-    std::sort(by_id.begin(), by_id.end(),
-              [](const InstanceRun& a, const InstanceRun& b) {
-                  return a.id < b.id;
-              });
-    for (std::size_t i = 1; i < by_id.size(); ++i)
-        if (by_id[i].id == by_id[i - 1].id) return false;
-    return true;
-}
-
-/// Slow path: argsort rows by (instance, seq) and rebuild every column
-/// through the permutation.  Deterministic: the key includes the row index
-/// as final tie-breaker, so even adversarial duplicate (instance, seq)
-/// pairs land in a fixed order.
-void regroup_by_sort(ColumnStore& columns, std::vector<std::uint64_t>& seqs,
-                     std::vector<std::uint32_t>& instances,
-                     std::vector<InstanceRun>& runs) {
-    const std::size_t n = seqs.size();
-    std::vector<std::size_t> perm(n);
-    std::iota(perm.begin(), perm.end(), std::size_t{0});
-    std::sort(perm.begin(), perm.end(),
-              [&](std::size_t a, std::size_t b) {
-                  if (instances[a] != instances[b])
-                      return instances[a] < instances[b];
-                  if (seqs[a] != seqs[b]) return seqs[a] < seqs[b];
-                  return a < b;
-              });
-
-    ColumnStore sorted;
-    sorted.allocate(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t src = perm[i];
-        sorted.mutable_time_ns()[i] = columns.time_ns()[src];
-        sorted.mutable_position()[i] = columns.position()[src];
-        sorted.mutable_sizes()[i] = columns.sizes()[src];
-        sorted.mutable_op()[i] = columns.op()[src];
-        sorted.mutable_thread()[i] = columns.thread()[src];
-    }
-    columns = std::move(sorted);
-
-    runs.clear();
-    std::size_t begin = 0;
-    for (std::size_t i = 1; i <= n; ++i) {
-        if (i < n && instances[perm[i]] == instances[perm[i - 1]]) continue;
-        runs.push_back(InstanceRun{instances[perm[begin]], begin, i});
-        begin = i;
-    }
 }
 
 }  // namespace
@@ -241,9 +166,9 @@ ColumnTrace read_trace_columns(std::string_view bytes,
     if (cur.ptr != cur.end) fail("trailing bytes after final chunk");
 
     const auto rows = static_cast<std::size_t>(event_count);
-    trace.columns.allocate(rows, 0);
-    std::vector<std::uint64_t> seqs(rows);
-    std::vector<std::uint32_t> instance_col(rows);
+    ColumnStore decoded;
+    decoded.resize(rows);
+    std::vector<InstanceId> instance_col(rows);
 
     // Chunks write disjoint row ranges, so the decode parallelizes without
     // synchronization and lands bit-identical to a sequential pass.
@@ -252,8 +177,8 @@ ColumnTrace read_trace_columns(std::string_view bytes,
     const auto decode_range = [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i)
             decode_chunk_columns(chunks[i].payload, chunks[i].count,
-                                 chunks[i].first_row, trace.columns,
-                                 seqs.data(), instance_col.data());
+                                 chunks[i].first_row, decoded,
+                                 instance_col.data());
     };
     if (pool != nullptr && chunks.size() > 1) {
         std::mutex error_mutex;
@@ -276,11 +201,7 @@ ColumnTrace read_trace_columns(std::string_view bytes,
         obs::MetricsRegistry::global().add(column_chunks_metric(),
                                            chunks.size());
 
-    std::vector<InstanceRun> runs;
-    if (!collect_grouped_runs(instance_col.data(), seqs.data(), rows, runs))
-        regroup_by_sort(trace.columns, seqs, instance_col, runs);
-    for (const InstanceRun& run : runs)
-        trace.columns.set_range(run.id, run.begin, run.end);
+    trace.columns = ColumnStore::group(std::move(decoded), instance_col);
     return trace;
 }
 

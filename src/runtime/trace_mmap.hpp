@@ -1,20 +1,18 @@
 // Zero-copy DST1 decode into event columns (DESIGN.md §11).
 //
-// read_trace_binary materializes every event as a 32-byte AccessEvent,
-// appends them into the AoS ProfileStore, sorts, and only then (for the
-// columnar analysis core) transposes into a ColumnStore.  For post-mortem
-// `dsspy analyze` runs that never need AccessEvent rows, this reader skips
-// the whole middle: the trace file is mmapped, chunk payloads decode in
-// parallel straight into column rows, and per-instance ranges come from a
-// single grouping pass — no intermediate AccessEvent vector exists at any
-// point.  Files written by write_trace emit each instance's events as one
-// contiguous ascending-seq block, so the grouping pass is a zero-copy scan;
-// arbitrarily interleaved (externally produced) traces fall back to one
-// deterministic argsort permutation.
+// The trace file is mmapped, chunk payloads decode in parallel straight
+// into column rows (no AccessEvent record exists at any point), and
+// ColumnStore::group — the grouping routine every producer shares — turns
+// the decoded rows into per-instance ranges.  Files written by write_trace
+// emit each instance's events as one contiguous ascending-seq block in id
+// order, so grouping keeps the rows where they are; arbitrarily
+// interleaved (externally produced) traces are scattered by instance.
+// read_trace on DST1 bytes returns exactly what this decoder produces.
 //
-// Same validation surface as trace_binary.cpp (shared via trace_codec.hpp)
-// plus mmap-specific checks: unopenable or unmappable files and misaligned
-// mapped regions are rejected with clear errors.
+// Same validation surface as the streaming reader in trace_binary.cpp
+// (shared via trace_codec.hpp) plus mmap-specific checks: unopenable or
+// unmappable files and misaligned mapped regions are rejected with clear
+// errors.
 #pragma once
 
 #include <string>
@@ -41,8 +39,9 @@ struct ColumnTrace {
 [[nodiscard]] bool is_binary_trace_file(const std::string& path);
 
 /// Decode a complete DST1 buffer into columns.  Throws std::runtime_error
-/// on the same malformed inputs read_trace_binary rejects (plus a
-/// misaligned buffer, which the mmap path forwards here).  With a pool,
+/// on truncated or corrupt input (bad magic/version, unterminated varint,
+/// chunk size or event-count mismatch, out-of-range enum or field values)
+/// and on a misaligned buffer, which the mmap path forwards here.  With a pool,
 /// chunks decode concurrently into disjoint row ranges; the result is
 /// bit-identical to a sequential decode.
 [[nodiscard]] ColumnTrace read_trace_columns(std::string_view bytes,

@@ -32,21 +32,21 @@ struct Column {
     char mark = ' ';
 };
 
-std::vector<Column> downsample(const core::RuntimeProfile& profile,
+std::vector<Column> downsample(const runtime::ColumnStore& columns,
+                               runtime::ColumnRange range,
                                std::size_t max_width) {
-    const auto events = profile.events();
     std::vector<Column> cols;
-    if (events.empty() || max_width == 0) return cols;
-    const std::size_t n = events.size();
+    if (range.empty() || max_width == 0) return cols;
+    const std::size_t n = range.size();
     const std::size_t width = std::min(max_width, n);
     cols.resize(width);
     for (std::size_t c = 0; c < width; ++c) {
         // Representative event: first event of the column's bucket.
-        const std::size_t i = c * n / width;
-        const runtime::AccessEvent& ev = events[i];
-        cols[c].position = ev.position;
-        cols[c].size = ev.size;
-        cols[c].mark = mark_for(core::derive_access_type(ev.op));
+        const std::size_t row = range.begin + c * n / width;
+        cols[c].position = columns.position()[row];
+        cols[c].size = columns.sizes()[row];
+        cols[c].mark = mark_for(core::derive_access_type(
+            static_cast<runtime::OpKind>(columns.op()[row])));
     }
     return cols;
 }
@@ -64,9 +64,10 @@ std::string legend() {
 }
 
 std::string render(const core::RuntimeProfile& profile,
+                   const runtime::ColumnStore& columns,
                    const ChartOptions& options, bool bars) {
-    const std::vector<Column> cols =
-        downsample(profile, options.max_width);
+    const std::vector<Column> cols = downsample(
+        columns, columns.range(profile.info().id), options.max_width);
     std::string out;
     if (cols.empty()) return "(empty profile)\n";
 
@@ -116,20 +117,23 @@ std::string render(const core::RuntimeProfile& profile,
 }  // namespace
 
 std::string render_profile_bars(const core::RuntimeProfile& profile,
+                                const runtime::ColumnStore& columns,
                                 const ChartOptions& options) {
-    return render(profile, options, /*bars=*/true);
+    return render(profile, columns, options, /*bars=*/true);
 }
 
 std::string render_profile_scatter(const core::RuntimeProfile& profile,
+                                   const runtime::ColumnStore& columns,
                                    const ChartOptions& options) {
-    return render(profile, options, /*bars=*/false);
+    return render(profile, columns, options, /*bars=*/false);
 }
 
 void print_profile(std::ostream& os, const core::RuntimeProfile& profile,
+                   const runtime::ColumnStore& columns,
                    const ChartOptions& options) {
     os << "Runtime profile of " << profile.info().type_name << " @ "
        << profile.info().location.to_string() << '\n'
-       << render_profile_scatter(profile, options);
+       << render_profile_scatter(profile, columns, options);
 }
 
 }  // namespace dsspy::viz

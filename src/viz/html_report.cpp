@@ -52,6 +52,7 @@ code { background: #f0f0f0; padding: 0 .25em; border-radius: 3px; }
 }  // namespace
 
 void write_html_report(std::ostream& os, const core::AnalysisResult& result,
+                       const runtime::ColumnStore& columns,
                        const HtmlReportOptions& options) {
     using support::Table;
 
@@ -113,7 +114,7 @@ void write_html_report(std::ostream& os, const core::AnalysisResult& result,
            << "</h3>\n";
 
         os << "<div class=\"chart\">"
-           << profile_to_svg(ia.profile, options.svg_columns)
+           << profile_to_svg(ia.profile, columns, options.svg_columns)
            << "</div>\n";
 
         if (!ia.patterns.empty()) {
@@ -153,10 +154,11 @@ void write_html_report(std::ostream& os, const core::AnalysisResult& result,
 
 bool write_html_report_file(const std::string& path,
                             const core::AnalysisResult& result,
+                            const runtime::ColumnStore& columns,
                             const HtmlReportOptions& options) {
     std::ofstream out(path, std::ios::binary);
     if (!out) return false;
-    write_html_report(out, result, options);
+    write_html_report(out, result, columns, options);
     return static_cast<bool>(out);
 }
 

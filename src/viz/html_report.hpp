@@ -24,13 +24,16 @@ struct HtmlReportOptions {
     std::size_t svg_columns = 400;
 };
 
-/// Render the full report to `os`.
+/// Render the full report to `os`; the charts draw the analyzed events
+/// from `columns` (the store `result` was computed from).
 void write_html_report(std::ostream& os, const core::AnalysisResult& result,
+                       const runtime::ColumnStore& columns,
                        const HtmlReportOptions& options = {});
 
 /// Convenience: write to `path`; false on I/O failure.
 bool write_html_report_file(const std::string& path,
                             const core::AnalysisResult& result,
+                            const runtime::ColumnStore& columns,
                             const HtmlReportOptions& options = {});
 
 }  // namespace dsspy::viz

@@ -78,9 +78,13 @@ std::string SvgWriter::finish() {
 }
 
 std::string profile_to_svg(const core::RuntimeProfile& profile,
+                           const runtime::ColumnStore& columns,
                            std::size_t max_columns) {
-    const auto events = profile.events();
-    const std::size_t n = events.size();
+    const runtime::ColumnRange range = columns.range(profile.info().id);
+    const std::int64_t* positions = columns.position() + range.begin;
+    const std::uint32_t* sizes = columns.sizes() + range.begin;
+    const std::uint8_t* ops = columns.op() + range.begin;
+    const std::size_t n = range.size();
     const std::size_t cols = std::min(max_columns, n == 0 ? 1 : n);
 
     constexpr double kMarginLeft = 40.0;
@@ -94,11 +98,11 @@ std::string profile_to_svg(const core::RuntimeProfile& profile,
                   kMarginTop + kPlotHeight + kMarginBottom);
 
     std::size_t max_value = 1;
-    for (const runtime::AccessEvent& ev : events) {
-        max_value = std::max(max_value, static_cast<std::size_t>(ev.size));
-        if (ev.position > 0)
+    for (std::size_t i = 0; i < n; ++i) {
+        max_value = std::max(max_value, static_cast<std::size_t>(sizes[i]));
+        if (positions[i] > 0)
             max_value =
-                std::max(max_value, static_cast<std::size_t>(ev.position));
+                std::max(max_value, static_cast<std::size_t>(positions[i]));
     }
 
     auto y_of = [&](double value) {
@@ -113,19 +117,19 @@ std::string profile_to_svg(const core::RuntimeProfile& profile,
 
     for (std::size_t c = 0; c < cols && n > 0; ++c) {
         const std::size_t i = c * n / cols;
-        const runtime::AccessEvent& ev = events[i];
         const double x = kMarginLeft + static_cast<double>(c) * col_width;
 
         // Grey background bar: container size at this access.
-        if (ev.size > 0) {
-            const double top = y_of(static_cast<double>(ev.size));
+        if (sizes[i] > 0) {
+            const double top = y_of(static_cast<double>(sizes[i]));
             svg.rect(x, top, col_width, kMarginTop + kPlotHeight - top,
                      "#cccccc", 0.5);
         }
         // Colored bar: accessed index.
-        if (ev.position >= 0) {
-            const double top = y_of(static_cast<double>(ev.position));
-            const core::AccessType type = core::derive_access_type(ev.op);
+        if (positions[i] >= 0) {
+            const double top = y_of(static_cast<double>(positions[i]));
+            const core::AccessType type = core::derive_access_type(
+                static_cast<runtime::OpKind>(ops[i]));
             svg.rect(x, top, std::max(1.0, col_width - 0.5),
                      kMarginTop + kPlotHeight - top, color_for(type), 0.9);
         }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/profile.hpp"
+#include "runtime/column_store.hpp"
 
 namespace dsspy::viz {
 
@@ -43,10 +44,12 @@ private:
     bool finished_ = false;
 };
 
-/// Figure-2 style SVG chart of a runtime profile.  Reads are green bars,
-/// writes/inserts red, deletes orange, the container size is a grey
-/// background bar per event.  Events are downsampled to `max_columns`.
+/// Figure-2 style SVG chart of a runtime profile, drawn from the
+/// instance's rows in `columns`.  Reads are green bars, writes/inserts
+/// red, deletes orange, the container size is a grey background bar per
+/// event.  Events are downsampled to `max_columns`.
 [[nodiscard]] std::string profile_to_svg(const core::RuntimeProfile& profile,
+                                         const runtime::ColumnStore& columns,
                                          std::size_t max_columns = 400);
 
 /// One bar of a stacked bar chart (Figure 1 style).

@@ -299,7 +299,8 @@ TEST(AdviceDifferential, RenderedTextMatchesLegacyFormatterOnAllApps) {
         const AnalysisResult result = Dsspy{config}.analyze(session);
         for (const dsspy::core::InstanceAnalysis& inst : result.instances()) {
             const InstanceStats stats = dsspy::core::compute_instance_stats(
-                inst.profile, inst.patterns, config);
+                inst.profile, session.store().events(inst.profile.info().id),
+                inst.patterns, config);
             const std::vector<LegacyText> legacy =
                 legacy_classify(stats, config);
             ASSERT_EQ(inst.use_cases.size(), legacy.size())

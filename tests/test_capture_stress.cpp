@@ -1,12 +1,14 @@
 // Stress tests for the rewritten capture path: per-thread sequence blocks,
-// amortized timestamps, lock-free channel registration, and the parallel
-// post-mortem pipeline.  These are the tests the DSSPY_SANITIZE=thread
+// amortized timestamps, lock-free channel registration, the grouping of
+// captured events into columns at stop(), and the parallel post-mortem
+// analysis.  These are the tests the DSSPY_SANITIZE=thread
 // build runs under TSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -14,7 +16,7 @@
 #include "corpus/program_model.hpp"
 #include "corpus/workload.hpp"
 #include "parallel/thread_pool.hpp"
-#include "runtime/profile_store.hpp"
+#include "runtime/column_store.hpp"
 #include "runtime/session.hpp"
 
 namespace dsspy::runtime {
@@ -70,7 +72,7 @@ TEST(CaptureStress, StreamingEightProducersTinyRingsLoseNothing) {
 
 class ReconciliationTest : public ::testing::TestWithParam<CaptureMode> {};
 
-// Several threads interleave on ONE shared instance.  After finalize() the
+// Several threads interleave on ONE shared instance.  After stop() the
 // instance's merged sequence must contain every thread's events as a
 // subsequence in program order — the per-thread sequence blocks must never
 // reorder a thread against itself.
@@ -154,42 +156,66 @@ TEST(CaptureStress, AmortizedTimestampsAreMonotonicAndAdvance) {
                   events.size() / ProfilingSession::kSeqBlockSize + 2);
 }
 
-// Parallel finalize must produce byte-for-byte the same store as the
-// sequential one.
-TEST(CaptureStress, ParallelFinalizeMatchesSequential) {
-    auto build = [] {
-        ProfileStore store;
-        // Unsorted appends across 33 instances, seqs deliberately shuffled
-        // by striding.
-        std::vector<AccessEvent> batch;
-        for (std::uint64_t s = 0; s < 40'000; ++s) {
-            AccessEvent ev;
-            ev.seq = (s * 7919) % 40'000;  // permutation of [0, 40000)
-            ev.time_ns = ev.seq * 10;
-            ev.instance = static_cast<InstanceId>(s % 33);
-            ev.position = static_cast<std::int64_t>(s);
-            ev.size = 1;
-            ev.op = OpKind::Add;
-            ev.thread = static_cast<ThreadId>(s % 5);
-            batch.push_back(ev);
+// stop() groups the captured events straight into columns.  Several
+// threads share one instance (and each also owns one), so the shared
+// range interleaves every thread's chunks and must come out as a stable
+// sort by seq — with the true seq column.  The ordered event sink sees
+// the same events through an independent path (per-thread merge by seq)
+// and is the oracle.
+TEST(CaptureStress, StopGroupsColumnsInSeqOrderInBothModes) {
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 2 * 1024 + 77;
+    for (const CaptureMode mode :
+         {CaptureMode::Buffered, CaptureMode::Streaming}) {
+        ProfilingSession session(mode, /*ring_capacity=*/512);
+        std::vector<AccessEvent> delivered;
+        session.set_event_sink([&delivered](std::span<const AccessEvent> ev) {
+            delivered.insert(delivered.end(), ev.begin(), ev.end());
+        });
+        const InstanceId shared = session.register_instance(
+            DsKind::List, "List<Int64>", {"Group", "Shared", 1});
+        std::vector<InstanceId> own;
+        for (int t = 0; t < kThreads; ++t)
+            own.push_back(session.register_instance(
+                DsKind::List, "List<Int64>",
+                {"Group", "Own", static_cast<std::uint32_t>(t)}));
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&session, shared, &own, t] {
+                for (int i = 0; i < kPerThread; ++i) {
+                    session.record(shared, OpKind::Add, t * 100'000LL + i, 1);
+                    if (i % 3 == 0)
+                        session.record(own[static_cast<std::size_t>(t)],
+                                       OpKind::Get, i, 2);
+                }
+            });
         }
-        ProfileStore out;
-        out.append(batch);
-        return out;
-    };
-    ProfileStore sequential = build();
-    ProfileStore parallel = build();
-    sequential.finalize(nullptr);
-    par::ThreadPool pool(4);
-    parallel.finalize(&pool);
+        for (auto& th : threads) th.join();
+        session.stop();
 
-    ASSERT_EQ(sequential.instance_slots(), parallel.instance_slots());
-    ASSERT_EQ(sequential.total_events(), parallel.total_events());
-    for (std::size_t id = 0; id < sequential.instance_slots(); ++id) {
-        const auto a = sequential.events(static_cast<InstanceId>(id));
-        const auto b = parallel.events(static_cast<InstanceId>(id));
-        ASSERT_EQ(a.size(), b.size());
-        for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+        std::stable_sort(delivered.begin(), delivered.end(),
+                         [](const AccessEvent& a, const AccessEvent& b) {
+                             if (a.instance != b.instance)
+                                 return a.instance < b.instance;
+                             return a.seq < b.seq;
+                         });
+        const ColumnStore& columns = session.store().columns();
+        ASSERT_EQ(columns.total_events(), delivered.size());
+        std::size_t row = 0;
+        for (InstanceId id = 0; id < columns.instance_slots(); ++id) {
+            const ColumnRange range = columns.range(id);
+            ASSERT_EQ(range.begin, row);
+            for (std::size_t r = range.begin; r < range.end; ++r, ++row) {
+                AccessEvent got = columns.row(r);
+                got.instance = id;
+                ASSERT_EQ(got, delivered[r])
+                    << (mode == CaptureMode::Buffered ? "buffered"
+                                                      : "streaming")
+                    << " row " << r;
+            }
+        }
+        EXPECT_EQ(columns.range(shared).size(),
+                  static_cast<std::size_t>(kThreads) * kPerThread);
     }
 }
 

@@ -395,8 +395,8 @@ TEST_F(VerdictDifferential, EmpiricalStudyCorpus) {
 }
 
 TEST_F(VerdictDifferential, ZeroCopyColumnReaderMatchesAoSAnalysis) {
-    // write binary -> mmap-decode to columns -> analyze(columns) must give
-    // the same verdicts as the AoS trace load it replaces.
+    // write binary -> decode to columns -> analyze(columns) must give the
+    // same verdicts as the per-event reference over the live session.
     runtime::ProfilingSession session;
     const apps::AppInfo* app = apps::find_app("WordWheelSolver");
     ASSERT_NE(app, nullptr);
@@ -408,12 +408,11 @@ TEST_F(VerdictDifferential, ZeroCopyColumnReaderMatchesAoSAnalysis) {
                                 session.store());
     const std::string bytes = std::move(out).str();
 
-    const runtime::Trace aos = runtime::read_trace_binary(bytes);
     const runtime::ColumnTrace cols = runtime::read_trace_columns(bytes);
 
     const Dsspy analyzer;
-    const std::string ref =
-        digest(analyzer.analyze_reference(aos.instances, aos.store));
+    const std::string ref = digest(analyzer.analyze_reference(
+        session.registry().snapshot(), session.store()));
     EXPECT_EQ(digest(analyzer.analyze(cols.instances, cols.columns)), ref);
     par::ThreadPool pool(4);
     EXPECT_EQ(digest(analyzer.analyze(cols.instances, cols.columns, &pool)),

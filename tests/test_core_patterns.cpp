@@ -1,6 +1,7 @@
 // Tests for the eight-access-pattern detector.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "core/patterns.hpp"
@@ -9,8 +10,6 @@ namespace dsspy::core {
 namespace {
 
 using runtime::AccessEvent;
-using runtime::DsKind;
-using runtime::InstanceInfo;
 using runtime::OpKind;
 
 struct ProfileBuilder {
@@ -47,31 +46,22 @@ struct ProfileBuilder {
         for (int i = 0; i < n; ++i) ev(OpKind::Get, i, size, thread);
         return *this;
     }
-
-    [[nodiscard]] RuntimeProfile build(DsKind kind = DsKind::List) const {
-        InstanceInfo info;
-        info.id = 0;
-        info.kind = kind;
-        info.type_name = "List<Int32>";
-        info.location = {"C", "M", 1};
-        return RuntimeProfile(info, events);
-    }
 };
 
-std::vector<Pattern> detect(const RuntimeProfile& profile) {
-    return PatternDetector{}.detect(profile);
+std::vector<Pattern> detect(std::span<const AccessEvent> events) {
+    return PatternDetector{}.detect(events);
 }
 
 TEST(PatternDetector, EmptyProfileHasNoPatterns) {
     ProfileBuilder b;
-    const auto profile = b.build();
+    const auto& profile = b.events;
     EXPECT_TRUE(detect(profile).empty());
 }
 
 TEST(PatternDetector, ReadForward) {
     ProfileBuilder b;
     b.read_forward(10, 10);
-    const auto profile = b.build();
+    const auto& profile = b.events;
     const auto patterns = detect(profile);
     ASSERT_EQ(patterns.size(), 1u);
     EXPECT_EQ(patterns[0].kind, PatternKind::ReadForward);
@@ -85,7 +75,7 @@ TEST(PatternDetector, ReadForward) {
 TEST(PatternDetector, ReadBackward) {
     ProfileBuilder b;
     for (int i = 9; i >= 0; --i) b.ev(OpKind::Get, i, 10);
-    const auto profile = b.build();
+    const auto& profile = b.events;
     const auto patterns = detect(profile);
     ASSERT_EQ(patterns.size(), 1u);
     EXPECT_EQ(patterns[0].kind, PatternKind::ReadBackward);
@@ -97,7 +87,7 @@ TEST(PatternDetector, WriteForwardAndBackward) {
     for (int i = 0; i < 6; ++i) b.ev(OpKind::Set, i, 6);
     b.ev(OpKind::Clear, -1, 0);  // break
     for (int i = 5; i >= 0; --i) b.ev(OpKind::Set, i, 6);
-    const auto profile = b.build();
+    const auto& profile = b.events;
     const auto patterns = detect(profile);
     ASSERT_EQ(patterns.size(), 2u);
     EXPECT_EQ(patterns[0].kind, PatternKind::WriteForward);
@@ -107,7 +97,7 @@ TEST(PatternDetector, WriteForwardAndBackward) {
 TEST(PatternDetector, InsertBackViaAppends) {
     ProfileBuilder b;
     b.append_run(50);
-    const auto profile = b.build();
+    const auto& profile = b.events;
     const auto patterns = detect(profile);
     ASSERT_EQ(patterns.size(), 1u);
     EXPECT_EQ(patterns[0].kind, PatternKind::InsertBack);
@@ -118,7 +108,7 @@ TEST(PatternDetector, InsertFrontRun) {
     ProfileBuilder b;
     for (int i = 0; i < 8; ++i)
         b.ev(OpKind::InsertAt, 0, static_cast<std::uint32_t>(i + 1));
-    const auto profile = b.build();
+    const auto& profile = b.events;
     const auto patterns = detect(profile);
     ASSERT_EQ(patterns.size(), 1u);
     EXPECT_EQ(patterns[0].kind, PatternKind::InsertFront);
@@ -129,7 +119,7 @@ TEST(PatternDetector, DeleteFrontRun) {
     // Deleting the front of a shrinking container: size after removal.
     for (int i = 0; i < 6; ++i)
         b.ev(OpKind::RemoveAt, 0, static_cast<std::uint32_t>(5 - i));
-    const auto profile = b.build();
+    const auto& profile = b.events;
     const auto patterns = detect(profile);
     ASSERT_EQ(patterns.size(), 1u);
     EXPECT_EQ(patterns[0].kind, PatternKind::DeleteFront);
@@ -140,7 +130,7 @@ TEST(PatternDetector, DeleteBackRun) {
     // Back removal: position == size-after.
     for (int i = 0; i < 6; ++i)
         b.ev(OpKind::RemoveAt, 5 - i, static_cast<std::uint32_t>(5 - i));
-    const auto profile = b.build();
+    const auto& profile = b.events;
     const auto patterns = detect(profile);
     ASSERT_EQ(patterns.size(), 1u);
     EXPECT_EQ(patterns[0].kind, PatternKind::DeleteBack);
@@ -149,7 +139,7 @@ TEST(PatternDetector, DeleteBackRun) {
 TEST(PatternDetector, MinimumRunLengthIsConfigurable) {
     ProfileBuilder b;
     b.read_forward(2, 10);  // below default min of 3
-    const auto profile = b.build();
+    const auto& profile = b.events;
     EXPECT_TRUE(detect(profile).empty());
 
     DetectorConfig config;
@@ -164,7 +154,7 @@ TEST(PatternDetector, DirectionChangeSplitsRuns) {
     // 0,1,2,3 then 2,1,0: one forward run, one backward run.
     for (int i = 0; i < 4; ++i) b.ev(OpKind::Get, i, 4);
     for (int i = 2; i >= 0; --i) b.ev(OpKind::Get, i, 4);
-    const auto profile = b.build();
+    const auto& profile = b.events;
     const auto patterns = detect(profile);
     ASSERT_EQ(patterns.size(), 2u);
     EXPECT_EQ(patterns[0].kind, PatternKind::ReadForward);
@@ -178,7 +168,7 @@ TEST(PatternDetector, RepeatedPositionBreaksRun) {
     b.ev(OpKind::Get, 0, 8).ev(OpKind::Get, 1, 8).ev(OpKind::Get, 2, 8);
     b.ev(OpKind::Get, 2, 8);  // repeat
     b.ev(OpKind::Get, 3, 8).ev(OpKind::Get, 4, 8);
-    const auto profile = b.build();
+    const auto& profile = b.events;
     const auto patterns = detect(profile);
     // First run of 3 emitted; repeat starts run {2,3,4} of length 3.
     ASSERT_EQ(patterns.size(), 2u);
@@ -193,7 +183,7 @@ TEST(PatternDetector, JumpReadsProduceNoPattern) {
         b.ev(OpKind::Get, pos, 15);
         pos = (pos + 7) % 15;
     }
-    const auto profile = b.build();
+    const auto& profile = b.events;
     EXPECT_TRUE(detect(profile).empty());
 }
 
@@ -202,7 +192,7 @@ TEST(PatternDetector, SearchEventBreaksReadRun) {
     b.read_forward(4, 8);
     b.ev(OpKind::IndexOf, 5, 8);
     b.read_forward(4, 8);
-    const auto profile = b.build();
+    const auto& profile = b.events;
     const auto patterns = detect(profile);
     ASSERT_EQ(patterns.size(), 2u);
     EXPECT_EQ(patterns[0].length, 4u);
@@ -212,7 +202,7 @@ TEST(PatternDetector, SearchEventBreaksReadRun) {
 TEST(PatternDetector, ForAllSynthesizesFullReadSweep) {
     ProfileBuilder b;
     b.ev(OpKind::ForEach, -1, 20);
-    const auto profile = b.build();
+    const auto& profile = b.events;
     const auto patterns = detect(profile);
     ASSERT_EQ(patterns.size(), 1u);
     EXPECT_EQ(patterns[0].kind, PatternKind::ReadForward);
@@ -224,7 +214,7 @@ TEST(PatternDetector, ForAllSynthesizesFullReadSweep) {
 TEST(PatternDetector, ForAllOnEmptyContainerIgnored) {
     ProfileBuilder b;
     b.ev(OpKind::ForEach, -1, 0);
-    const auto profile = b.build();
+    const auto& profile = b.events;
     EXPECT_TRUE(detect(profile).empty());
 }
 
@@ -236,7 +226,7 @@ TEST(PatternDetector, PerThreadSeparation) {
         b.ev(OpKind::Get, i, 10, 0);
         b.ev(OpKind::Get, 9 - i, 10, 1);
     }
-    const auto profile = b.build();
+    const auto& profile = b.events;
     const auto patterns = detect(profile);
     ASSERT_EQ(patterns.size(), 2u);
     EXPECT_EQ(patterns[0].kind, PatternKind::ReadForward);
@@ -248,7 +238,7 @@ TEST(PatternDetector, PerThreadSeparation) {
 TEST(PatternDetector, CoverageIsPartialForShortSweeps) {
     ProfileBuilder b;
     b.read_forward(5, 20);
-    const auto profile = b.build();
+    const auto& profile = b.events;
     const auto patterns = detect(profile);
     ASSERT_EQ(patterns.size(), 1u);
     EXPECT_DOUBLE_EQ(patterns[0].coverage, 0.25);
@@ -262,7 +252,7 @@ TEST(PatternDetector, MixedEndInsertsEmitNothing) {
     b.ev(OpKind::InsertAt, 0, 3);   // front -> run no longer all-back...
     b.ev(OpKind::Add, 3, 4);        // back -> breaks
     b.ev(OpKind::InsertAt, 2, 5);   // middle
-    const auto profile = b.build();
+    const auto& profile = b.events;
     for (const Pattern& p : detect(profile))
         EXPECT_GE(p.length, PatternDetector{}.config().min_pattern_events);
 }
@@ -272,7 +262,7 @@ TEST(PatternDetector, Figure2Profile) {
     ProfileBuilder b;
     b.append_run(10);
     for (int i = 9; i >= 0; --i) b.ev(OpKind::Get, i, 10);
-    const auto profile = b.build();
+    const auto& profile = b.events;
     const auto patterns = detect(profile);
     ASSERT_EQ(patterns.size(), 2u);
     EXPECT_EQ(patterns[0].kind, PatternKind::InsertBack);
@@ -285,7 +275,7 @@ TEST(PatternDetector, CountByKind) {
     ProfileBuilder b;
     b.append_run(5);
     b.read_forward(5, 5);
-    const auto profile = b.build();
+    const auto& profile = b.events;
     const auto counts = count_by_kind(detect(profile));
     EXPECT_EQ(counts[static_cast<size_t>(PatternKind::InsertBack)], 1u);
     EXPECT_EQ(counts[static_cast<size_t>(PatternKind::ReadForward)], 1u);
@@ -297,7 +287,7 @@ TEST(PatternDetector, PatternsSortedByFirstEvent) {
     b.append_run(5);
     b.read_forward(5, 5);
     b.append_run(5, 5);
-    const auto profile = b.build();
+    const auto& profile = b.events;
     const auto patterns = detect(profile);
     ASSERT_EQ(patterns.size(), 3u);
     EXPECT_LT(patterns[0].first, patterns[1].first);

@@ -13,8 +13,7 @@ using runtime::DsKind;
 using runtime::InstanceInfo;
 using runtime::OpKind;
 
-/// Builds event sequences by hand; the profile references the builder's
-/// storage, so keep the builder alive while using the profile.
+/// Builds event sequences by hand.
 struct ProfileBuilder {
     std::vector<AccessEvent> events;
     std::uint64_t seq = 0;

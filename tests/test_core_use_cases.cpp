@@ -54,20 +54,27 @@ struct ProfileBuilder {
         return *this;
     }
 
-    [[nodiscard]] RuntimeProfile build(DsKind kind = DsKind::List) const {
+    /// A profile together with the events it was built from.
+    struct Built {
+        std::vector<AccessEvent> events;
+        RuntimeProfile profile;
+    };
+
+    [[nodiscard]] Built build(DsKind kind = DsKind::List) const {
         InstanceInfo info;
         info.id = 0;
         info.kind = kind;
         info.type_name = "List<Int32>";
         info.location = {"C", "M", 1};
-        return RuntimeProfile(info, events);
+        return Built{events, RuntimeProfile(info, events)};
     }
 };
 
-std::vector<UseCase> classify(const RuntimeProfile& profile,
+std::vector<UseCase> classify(const ProfileBuilder::Built& built,
                               DetectorConfig config = {}) {
-    const auto patterns = PatternDetector(config).detect(profile);
-    return UseCaseEngine(config).classify(profile, patterns);
+    const auto patterns = PatternDetector(config).detect(built.events);
+    return UseCaseEngine(config).classify(built.profile, built.events,
+                                          patterns);
 }
 
 bool has(const std::vector<UseCase>& ucs, UseCaseKind kind) {

@@ -22,8 +22,7 @@ using runtime::ProfilingSession;
 std::vector<AccessEvent> events_of(ProfilingSession& session,
                                    InstanceId id) {
     session.stop();
-    const auto span = session.store().events(id);
-    return {span.begin(), span.end()};
+    return session.store().events(id);
 }
 
 TEST(Probe, NullSessionRecordsNothing) {

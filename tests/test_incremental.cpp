@@ -10,6 +10,7 @@
 // carry, malformed-input parity with the slurping reader).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -214,7 +215,7 @@ TEST(ExampleDifferential, EventByEventFoldMatchesBatchFold) {
         single.declare_instance(info);
     }
     for (const InstanceInfo& info : instances) {
-        const std::span<const AccessEvent> events =
+        const std::vector<AccessEvent> events =
             session.store().events(info.id);
         batched.fold(events);
         for (const AccessEvent& ev : events) single.fold(ev);
@@ -310,8 +311,9 @@ TEST(LiveSessionDifferential, SnapshotDoesNotPerturbAndMatchesPrefix) {
     session.stop();
     const std::vector<InstanceInfo> instances = session.registry().snapshot();
     ASSERT_EQ(instances.size(), 1u);
-    const std::span<const AccessEvent> events =
+    const std::vector<AccessEvent> rows =
         session.store().events(instances[0].id);
+    const std::span<const AccessEvent> events(rows);
     const std::size_t half = events.size() / 2;
 
     IncrementalAnalyzer streamed, prefix_only;
@@ -592,13 +594,48 @@ void expect_stream_matches_slurp(const std::string& bytes,
     for (std::size_t i = 0; i < sink.instances.size(); ++i)
         EXPECT_TRUE(sink.instances[i] == trace.instances[i]);
     for (const InstanceInfo& info : trace.instances) {
-        const std::span<const AccessEvent> expected =
+        const std::vector<AccessEvent> expected =
             trace.store.events(info.id);
         const std::vector<AccessEvent>& got = sink.events[info.id];
         ASSERT_EQ(got.size(), expected.size());
         for (std::size_t i = 0; i < got.size(); ++i)
             EXPECT_TRUE(got[i] == expected[i]);
     }
+}
+
+// --- scale -------------------------------------------------------------------
+
+// Declaring n instances must stay linear: a trace of ~100K small instances
+// streams in well under a second.  tests/CMakeLists.txt also runs this
+// case under a 30 s timeout, so a quadratic declare fails loudly.
+TEST(IncrementalScale, DeclaresAndFoldsHundredThousandInstances) {
+    constexpr InstanceId kInstances = 100'000;
+    IncrementalAnalyzer analyzer;
+    std::vector<InstanceInfo> instances(kInstances);
+    std::uint64_t seq = 0;
+    for (InstanceId id = 0; id < kInstances; ++id) {
+        InstanceInfo& info = instances[id];
+        info.id = id;
+        info.kind = DsKind::List;
+        info.type_name = "List<Int32>";
+        info.location = {"Scale.Cls", "M", id};
+        analyzer.declare_instance(info);
+        std::array<AccessEvent, 3> events{};
+        for (std::uint32_t i = 0; i < events.size(); ++i) {
+            events[i].seq = seq++;
+            events[i].time_ns = seq;
+            events[i].instance = id;
+            events[i].op = OpKind::Add;
+            events[i].position = i;
+            events[i].size = i + 1;
+        }
+        analyzer.fold(events);
+    }
+    EXPECT_EQ(analyzer.events_folded(), 3u * kInstances);
+    const StreamReport report = analyzer.finish(instances);
+    EXPECT_EQ(report.total_instances(), kInstances);
+    EXPECT_EQ(report.list_array_instances(), kInstances);
+    EXPECT_EQ(report.total_events(), 3u * kInstances);
 }
 
 TEST(StreamingTraceReader, CsvQuoteStateSurvivesEveryBufferBoundary) {

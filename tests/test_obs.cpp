@@ -1,6 +1,6 @@
 // Tests for the self-telemetry layer (src/obs): per-thread shard
 // aggregation determinism, histogram bucket math, JSON / Prometheus
-// exporters, the DSSPY_SPAN macro, the self-overhead estimate, orphan
+// exporters, the DSSPY_TRACE_SPAN metric leg, the self-overhead estimate, orphan
 // event surfacing, and the differential guarantee that enabling telemetry
 // never changes an analysis result.
 #include <gtest/gtest.h>
@@ -17,7 +17,7 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/self_overhead.hpp"
-#include "obs/span.hpp"
+#include "obs/trace.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
 #include "runtime/profile_store.hpp"
@@ -277,7 +277,7 @@ TEST(ObsExport, SelfOverheadAppearsWhenGiven) {
 TEST(ObsSpan, MacroTimesScopeIntoGlobalHistogram) {
     const GlobalTelemetryGuard guard;
     {
-        DSSPY_SPAN("test.scope");
+        DSSPY_TRACE_SPAN("test.scope");
         std::this_thread::yield();
     }
     const std::vector<MetricValue> metrics =
@@ -388,8 +388,9 @@ TEST(ObsDifferential, TelemetryDoesNotChangeAnalysisResults) {
     {
         const GlobalTelemetryGuard guard;
         (void)analyze_to_json();
-        const MetricValue* span = find_metric(
-            MetricsRegistry::global().collect(), "span.analyze.total");
+        const std::vector<MetricValue> metrics =
+            MetricsRegistry::global().collect();
+        const MetricValue* span = find_metric(metrics, "span.analyze.total");
         ASSERT_NE(span, nullptr);
         EXPECT_GE(span->count, 1u);
     }

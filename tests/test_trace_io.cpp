@@ -2,13 +2,16 @@
 // analysis, adversarial field content, and malformed-input rejection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/dsspy.hpp"
 #include "ds/ds.hpp"
@@ -56,6 +59,12 @@ Trace round_trip(const ProfilingSession& session, TraceFormat format,
     std::stringstream buffer;
     write_trace(buffer, session, format);
     return read_trace(buffer, pool);
+}
+
+/// read_trace over in-memory DST1 bytes.
+Trace read_dst1(const std::string& bytes, par::ThreadPool* pool = nullptr) {
+    std::istringstream in(bytes);
+    return read_trace(in, pool);
 }
 
 TEST(TraceIo, RoundTripPreservesEverything) {
@@ -317,7 +326,7 @@ TEST(TraceIoAdversarial, ExtremeFieldValuesRoundTrip) {
         EXPECT_EQ(trace.instances[0], info);
         const auto events = trace.store.events(0);
         ASSERT_EQ(events.size(), 3u);
-        // The store re-sorts by seq on finalize; compare against that order.
+        // The reader orders each instance by seq; compare against that.
         EXPECT_EQ(events[0], extremes[0]);
         EXPECT_EQ(events[1], extremes[1]);
         EXPECT_EQ(events[2], extremes[2]);
@@ -386,7 +395,7 @@ TEST(TraceIoBinary, MultiChunkRoundTrips) {
     const Trace original = multi_chunk_trace();
     const std::string binary = binary_bytes(original);
     ASSERT_TRUE(is_binary_trace(binary));
-    const Trace decoded = read_trace_binary(binary);
+    const Trace decoded = read_dst1(binary);
     expect_traces_equal(decoded, original);
 }
 
@@ -414,9 +423,9 @@ TEST(TraceIoBinary, CompactEncodingBeatsCsvSize) {
 
 TEST(TraceIoBinary, ParallelDecodeIsBitIdenticalToSequential) {
     const std::string binary = binary_bytes(multi_chunk_trace());
-    const Trace sequential = read_trace_binary(binary, nullptr);
+    const Trace sequential = read_dst1(binary, nullptr);
     par::ThreadPool pool(4);
-    const Trace parallel = read_trace_binary(binary, &pool);
+    const Trace parallel = read_dst1(binary, &pool);
     expect_traces_equal(sequential, parallel);
 }
 
@@ -442,7 +451,7 @@ TEST(TraceIoBinary, RejectsBadMagicAndVersion) {
     {
         std::string bad = bytes;
         bad[4] = 0x7F;  // version word
-        EXPECT_THROW((void)read_trace_binary(bad), std::runtime_error);
+        EXPECT_THROW((void)read_dst1(bad), std::runtime_error);
     }
 }
 
@@ -455,7 +464,7 @@ TEST(TraceIoBinary, RejectsTruncation) {
          {std::size_t{3}, std::size_t{11}, std::size_t{30}, std::size_t{200},
           bytes.size() / 2, bytes.size() - 1}) {
         ASSERT_LT(keep, bytes.size());
-        EXPECT_THROW((void)read_trace_binary(bytes.substr(0, keep)),
+        EXPECT_THROW((void)read_dst1(bytes.substr(0, keep)),
                      std::runtime_error)
             << "keep=" << keep;
     }
@@ -464,7 +473,7 @@ TEST(TraceIoBinary, RejectsTruncation) {
 TEST(TraceIoBinary, RejectsTrailingGarbage) {
     std::string bytes = binary_bytes(multi_chunk_trace());
     bytes += "extra";
-    EXPECT_THROW((void)read_trace_binary(bytes), std::runtime_error);
+    EXPECT_THROW((void)read_dst1(bytes), std::runtime_error);
 }
 
 TEST(TraceIoBinary, RejectsBadVarint) {
@@ -483,7 +492,7 @@ TEST(TraceIoBinary, RejectsBadVarint) {
     put_u64(1);  // instance_count
     put_u64(0);  // event_count
     bytes.append(11, static_cast<char>(0x80));
-    EXPECT_THROW((void)read_trace_binary(bytes), std::runtime_error);
+    EXPECT_THROW((void)read_dst1(bytes), std::runtime_error);
 }
 
 TEST(TraceIoBinary, RejectsCorruptChunkCounts) {
@@ -506,14 +515,14 @@ TEST(TraceIoBinary, RejectsCorruptChunkCounts) {
     }
     ASSERT_LT(off + 4, bytes.size());
     bytes[off] = static_cast<char>(0xFF);  // inflate the chunk event count
-    EXPECT_THROW((void)read_trace_binary(bytes), std::runtime_error);
+    EXPECT_THROW((void)read_dst1(bytes), std::runtime_error);
 }
 
 // --------------------------------------------------- columnar DST1 decode
 
-/// The column decode must agree row-for-row with the AoS reader on the
-/// same bytes: identical per-instance ranges, identical field values in
-/// identical order.
+/// The column decode must agree row-for-row with a trace read another
+/// way: identical per-instance ranges, identical field values (seq
+/// included) in identical order.
 void expect_columns_match_trace(const ColumnTrace& cols, const Trace& aos) {
     ASSERT_EQ(cols.instances.size(), aos.instances.size());
     for (std::size_t i = 0; i < cols.instances.size(); ++i)
@@ -528,6 +537,7 @@ void expect_columns_match_trace(const ColumnTrace& cols, const Trace& aos) {
         ASSERT_EQ(range.size(), events.size()) << "instance " << id;
         for (std::size_t i = 0; i < events.size(); ++i) {
             const std::size_t row = range.begin + i;
+            EXPECT_EQ(cols.columns.seq()[row], events[i].seq);
             EXPECT_EQ(cols.columns.time_ns()[row], events[i].time_ns);
             EXPECT_EQ(cols.columns.position()[row], events[i].position);
             EXPECT_EQ(cols.columns.sizes()[row], events[i].size);
@@ -540,7 +550,8 @@ void expect_columns_match_trace(const ColumnTrace& cols, const Trace& aos) {
 
 TEST(TraceIoColumns, GroupedFastPathMatchesAoSReader) {
     // write_trace emits each instance as one contiguous ascending-seq
-    // block, so this exercises the zero-copy grouping scan.
+    // block, so the decoded rows stay in place.  The CSV reader, which
+    // groups AccessEvent records, is the independent reference.
     ProfilingSession session;
     drive_session(session);
     session.stop();
@@ -549,86 +560,7 @@ TEST(TraceIoColumns, GroupedFastPathMatchesAoSReader) {
     const std::string bytes = std::move(out).str();
 
     expect_columns_match_trace(read_trace_columns(bytes),
-                               read_trace_binary(bytes));
-}
-
-TEST(TraceIoColumns, InterleavedTraceTakesArgsortFallback) {
-    // Our writers always group events by instance, so an interleaved
-    // stream (what an external producer recording in capture order would
-    // emit) must be hand-encoded.  Every event uses control byte 0 —
-    // all fields explicit — which is valid, just uncompressed.
-    std::string bytes(kTraceBinaryMagic, sizeof(kTraceBinaryMagic));
-    const auto put_u32 = [&](std::uint32_t v) {
-        for (int i = 0; i < 4; ++i)
-            bytes += static_cast<char>((v >> (8 * i)) & 0xFF);
-    };
-    const auto put_u64 = [&](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i)
-            bytes += static_cast<char>((v >> (8 * i)) & 0xFF);
-    };
-    const auto put_varint = [&](std::string& out, std::uint64_t v) {
-        while (v >= 0x80) {
-            out += static_cast<char>((v & 0x7F) | 0x80);
-            v >>= 7;
-        }
-        out += static_cast<char>(v);
-    };
-    const auto put_delta = [&](std::string& out, std::uint64_t cur,
-                               std::uint64_t prev) {
-        const auto s = static_cast<std::int64_t>(cur - prev);
-        put_varint(out, (static_cast<std::uint64_t>(s) << 1) ^
-                            static_cast<std::uint64_t>(s >> 63));
-    };
-    const auto put_string = [&](const std::string& s) {
-        put_varint(bytes, s.size());
-        bytes += s;
-    };
-
-    constexpr std::uint32_t kEvents = 40;
-    put_u32(kTraceBinaryVersion);
-    put_u64(2);        // instance_count
-    put_u64(kEvents);  // event_count
-    for (InstanceId id = 0; id < 2; ++id) {
-        put_varint(bytes, id);
-        put_varint(bytes, static_cast<std::uint64_t>(DsKind::List));
-        put_varint(bytes, 10 + id);  // location.position
-        put_string("List<Int32>");
-        put_string("Interleaved.Cls");
-        put_string("m" + std::to_string(id));
-        bytes += static_cast<char>(0);  // deallocated
-    }
-
-    std::string payload;
-    AccessEvent prev;  // chunk baseline: all-zero fields, instance 0, op Get
-    prev.instance = 0;
-    prev.op = OpKind::Get;
-    for (std::uint32_t i = 0; i < kEvents; ++i) {
-        AccessEvent ev;
-        ev.seq = i;
-        ev.time_ns = 1000 + i * 3;
-        ev.instance = i % 2;  // alternating: defeats the grouped fast path
-        ev.op = (i % 3 == 0) ? OpKind::Add : OpKind::Get;
-        ev.position = static_cast<std::int64_t>(i / 2) - 1;
-        ev.size = i / 2;
-        ev.thread = static_cast<ThreadId>(i % 3);
-        payload += static_cast<char>(0);  // control: everything explicit
-        put_delta(payload, ev.seq, prev.seq);
-        put_delta(payload, ev.time_ns, prev.time_ns);
-        put_delta(payload, ev.instance, prev.instance);
-        payload += static_cast<char>(ev.op);
-        put_delta(payload, static_cast<std::uint64_t>(ev.position),
-                  static_cast<std::uint64_t>(prev.position));
-        put_delta(payload, ev.size, prev.size);
-        put_delta(payload, ev.thread, prev.thread);
-        prev = ev;
-    }
-    put_u32(kEvents);
-    put_u32(static_cast<std::uint32_t>(payload.size()));
-    bytes += payload;
-
-    const Trace aos = read_trace_binary(bytes);
-    ASSERT_EQ(aos.store.events(0).size(), kEvents / 2);
-    expect_columns_match_trace(read_trace_columns(bytes), aos);
+                               round_trip(session, TraceFormat::Csv));
 }
 
 TEST(TraceIoColumns, ParallelDecodeIsBitIdenticalToSequential) {
@@ -749,6 +681,197 @@ TEST(TraceIoColumns, RejectsMisalignedRegion) {
 TEST(TraceIoColumns, MissingFileThrows) {
     EXPECT_THROW((void)read_trace_columns_file("/nonexistent/dsspy.dst"),
                  std::runtime_error);
+}
+
+// ------------------------------------------------- the grouping routine
+
+/// What ColumnStore::group must produce from `events` (in input order):
+/// instances in id order, each instance's rows stably sorted by seq, rows
+/// on kInvalidInstance dropped.
+std::vector<AccessEvent> grouped_oracle(std::vector<AccessEvent> events) {
+    std::erase_if(events, [](const AccessEvent& ev) {
+        return ev.instance == kInvalidInstance;
+    });
+    std::stable_sort(events.begin(), events.end(),
+                     [](const AccessEvent& a, const AccessEvent& b) {
+                         if (a.instance != b.instance)
+                             return a.instance < b.instance;
+                         return a.seq < b.seq;
+                     });
+    return events;
+}
+
+/// Row-for-row equality of `columns` with an oracle ordering, ranges
+/// included.
+void expect_columns_equal(const ColumnStore& columns,
+                          const std::vector<AccessEvent>& expected) {
+    ASSERT_EQ(columns.total_events(), expected.size());
+    std::size_t row = 0;
+    for (InstanceId id = 0; id < columns.instance_slots(); ++id) {
+        const ColumnRange range = columns.range(id);
+        EXPECT_EQ(range.begin, row) << "instance " << id;
+        for (std::size_t r = range.begin; r < range.end; ++r, ++row) {
+            AccessEvent got = columns.row(r);
+            got.instance = id;
+            EXPECT_EQ(got, expected[r]) << "row " << r;
+        }
+    }
+    EXPECT_EQ(row, expected.size());
+}
+
+/// Interleaved events with out-of-order and duplicate seqs per instance.
+std::vector<AccessEvent> interleaved_events(std::size_t n,
+                                            InstanceId instances) {
+    std::vector<AccessEvent> events(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        AccessEvent& ev = events[i];
+        ev.seq = (i * 7) % (n / 2);  // every seq twice, shuffled
+        ev.time_ns = 1000 + i * 3;
+        ev.instance = static_cast<InstanceId>(i % instances);
+        ev.op = (i % 3 == 0) ? OpKind::Add : OpKind::Get;
+        ev.position = static_cast<std::int64_t>(i / 2) - 1;
+        ev.size = static_cast<std::uint32_t>(i / 2);
+        ev.thread = static_cast<ThreadId>(i % 3);
+    }
+    return events;
+}
+
+TEST(ColumnGroup, ScatterIsStableAcrossBlocksAndDropsInvalidRows) {
+    std::vector<AccessEvent> events = interleaved_events(60, 3);
+    events[17].instance = kInvalidInstance;
+    const std::span<const AccessEvent> all(events);
+    const std::span<const AccessEvent> blocks[] = {
+        all.subspan(0, 25), all.subspan(25, 0), all.subspan(25)};
+    const ColumnStore columns = ColumnStore::group(blocks);
+    EXPECT_EQ(columns.instance_slots(), 3u);
+    expect_columns_equal(columns, grouped_oracle(events));
+}
+
+TEST(ColumnGroup, DecodedRowsGroupLikeEvents) {
+    const auto decoded_rows = [](const std::vector<AccessEvent>& events,
+                                 std::vector<InstanceId>& instances) {
+        ColumnStore rows;
+        rows.resize(events.size());
+        instances.clear();
+        for (std::size_t i = 0; i < events.size(); ++i) {
+            rows.mutable_seq()[i] = events[i].seq;
+            rows.mutable_time_ns()[i] = events[i].time_ns;
+            rows.mutable_position()[i] = events[i].position;
+            rows.mutable_sizes()[i] = events[i].size;
+            rows.mutable_op()[i] = static_cast<std::uint8_t>(events[i].op);
+            rows.mutable_thread()[i] = events[i].thread;
+            instances.push_back(events[i].instance);
+        }
+        return rows;
+    };
+    std::vector<InstanceId> instances;
+    // Interleaved rows take the scatter.
+    const std::vector<AccessEvent> events = interleaved_events(48, 4);
+    ColumnStore rows = decoded_rows(events, instances);
+    expect_columns_equal(ColumnStore::group(std::move(rows), instances),
+                         grouped_oracle(events));
+    // Already grouped rows (equal seqs included) stay in place.
+    const std::vector<AccessEvent> grouped = grouped_oracle(events);
+    rows = decoded_rows(grouped, instances);
+    expect_columns_equal(ColumnStore::group(std::move(rows), instances),
+                         grouped);
+    // Empty input.
+    EXPECT_EQ(ColumnStore::group(ColumnStore{}, {}).total_events(), 0u);
+}
+
+TEST(ColumnGroup, ShuffledCsvWithDuplicateSeqsMatchesAfterConvert) {
+    std::vector<AccessEvent> events = interleaved_events(40, 2);
+    std::ostringstream csv;
+    for (InstanceId id = 0; id < 2; ++id)
+        csv << "I," << id << ",0,List<Int32>,Cls,M" << id << ",1,0\n";
+    for (const AccessEvent& ev : events) detail::write_csv_event_record(csv, ev);
+    std::istringstream in(csv.str());
+    const Trace trace = read_trace(in);
+    expect_columns_equal(trace.store.columns(), grouped_oracle(events));
+
+    std::ostringstream dst1;
+    write_trace(dst1, trace.instances, trace.store, TraceFormat::Binary);
+    const ColumnTrace converted = read_trace_columns(dst1.str());
+    expect_columns_equal(converted.columns, grouped_oracle(events));
+}
+
+/// Hand-encode `events` as DST1 in their given order (our writers always
+/// group by instance, so an interleaved file — what an external producer
+/// recording in capture order would emit — needs its own encoder).  Every
+/// event uses control byte 0: all fields explicit, valid but uncompressed.
+std::string encode_interleaved_dst1(const std::vector<AccessEvent>& events,
+                                    InstanceId instances) {
+    std::string bytes(kTraceBinaryMagic, sizeof(kTraceBinaryMagic));
+    const auto put_fixed = [](std::string& out, std::uint64_t v, int width) {
+        for (int i = 0; i < width; ++i)
+            out += static_cast<char>((v >> (8 * i)) & 0xFF);
+    };
+    const auto put_varint = [](std::string& out, std::uint64_t v) {
+        while (v >= 0x80) {
+            out += static_cast<char>((v & 0x7F) | 0x80);
+            v >>= 7;
+        }
+        out += static_cast<char>(v);
+    };
+    const auto put_delta = [&](std::string& out, std::uint64_t cur,
+                               std::uint64_t prev) {
+        const auto d = static_cast<std::int64_t>(cur - prev);
+        put_varint(out, (static_cast<std::uint64_t>(d) << 1) ^
+                            static_cast<std::uint64_t>(d >> 63));
+    };
+    const auto put_string = [&](const std::string& str) {
+        put_varint(bytes, str.size());
+        bytes += str;
+    };
+
+    put_fixed(bytes, kTraceBinaryVersion, 4);
+    put_fixed(bytes, instances, 8);
+    put_fixed(bytes, events.size(), 8);
+    for (InstanceId id = 0; id < instances; ++id) {
+        put_varint(bytes, id);
+        put_varint(bytes, static_cast<std::uint64_t>(DsKind::List));
+        put_varint(bytes, 10 + id);  // location.position
+        put_string("List<Int32>");
+        put_string("Interleaved.Cls");
+        put_string("m" + std::to_string(id));
+        bytes += static_cast<char>(0);  // deallocated
+    }
+
+    std::string payload;
+    AccessEvent prev;  // chunk baseline: all-zero fields, instance 0, op Get
+    prev.instance = 0;
+    prev.op = OpKind::Get;
+    for (const AccessEvent& ev : events) {
+        payload += static_cast<char>(0);  // control: everything explicit
+        put_delta(payload, ev.seq, prev.seq);
+        put_delta(payload, ev.time_ns, prev.time_ns);
+        put_delta(payload, ev.instance, prev.instance);
+        payload += static_cast<char>(ev.op);
+        put_delta(payload, static_cast<std::uint64_t>(ev.position),
+                  static_cast<std::uint64_t>(prev.position));
+        put_delta(payload, ev.size, prev.size);
+        put_delta(payload, ev.thread, prev.thread);
+        prev = ev;
+    }
+    put_fixed(bytes, events.size(), 4);
+    put_fixed(bytes, payload.size(), 4);
+    return bytes + payload;
+}
+
+TEST(ColumnGroup, InterleavedDst1FileMatchesAcrossReaders) {
+    const std::vector<AccessEvent> events = interleaved_events(40, 2);
+    const std::string bytes = encode_interleaved_dst1(events, 2);
+    const std::string path = ::testing::TempDir() + "/dsspy_interleaved.dst";
+    std::ofstream(path, std::ios::binary) << bytes;
+
+    const std::vector<AccessEvent> expected = grouped_oracle(events);
+    const ColumnTrace mapped = read_trace_columns_file(path);
+    ASSERT_EQ(mapped.instances.size(), 2u);
+    expect_columns_equal(mapped.columns, expected);
+    const Trace read = read_dst1(bytes);
+    expect_columns_equal(read.store.columns(), expected);
+    expect_columns_match_trace(mapped, read);
+    std::remove(path.c_str());
 }
 
 }  // namespace

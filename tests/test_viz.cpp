@@ -28,7 +28,8 @@ core::RuntimeProfile figure2_profile(ProfilingSession& session) {
 TEST(AsciiChart, RendersBarsWithMarksAndAxis) {
     ProfilingSession session;
     const auto profile = figure2_profile(session);
-    const std::string chart = render_profile_bars(profile);
+    const std::string chart =
+        render_profile_bars(profile, session.store().columns());
     EXPECT_NE(chart.find('I'), std::string::npos);  // insert marks
     EXPECT_NE(chart.find('R'), std::string::npos);  // read marks
     EXPECT_NE(chart.find("> time"), std::string::npos);
@@ -41,14 +42,16 @@ TEST(AsciiChart, ScatterOmitsBars) {
     const auto profile = figure2_profile(session);
     ChartOptions options;
     options.show_legend = false;
-    const std::string chart = render_profile_scatter(profile, options);
+    const std::string chart =
+        render_profile_scatter(profile, session.store().columns(), options);
     EXPECT_EQ(chart.find("legend:"), std::string::npos);
     EXPECT_NE(chart.find('R'), std::string::npos);
 }
 
 TEST(AsciiChart, EmptyProfile) {
     core::RuntimeProfile profile;
-    EXPECT_EQ(render_profile_bars(profile), "(empty profile)\n");
+    EXPECT_EQ(render_profile_bars(profile, runtime::ColumnStore{}),
+              "(empty profile)\n");
 }
 
 TEST(AsciiChart, DownsamplesWideProfiles) {
@@ -61,7 +64,8 @@ TEST(AsciiChart, DownsamplesWideProfiles) {
                                        session.store().events(id));
     ChartOptions options;
     options.max_width = 80;
-    const std::string chart = render_profile_scatter(profile, options);
+    const std::string chart =
+        render_profile_scatter(profile, session.store().columns(), options);
     // No line longer than the axis line + margin.
     std::istringstream in(chart);
     std::string line;
@@ -72,7 +76,7 @@ TEST(AsciiChart, PrintProfileIncludesHeader) {
     ProfilingSession session;
     const auto profile = figure2_profile(session);
     std::ostringstream os;
-    print_profile(os, profile);
+    print_profile(os, profile, session.store().columns());
     EXPECT_NE(os.str().find("List<Int32>"), std::string::npos);
     EXPECT_NE(os.str().find("Example.Main:1"), std::string::npos);
 }
@@ -95,7 +99,7 @@ TEST(SvgWriter, ProducesWellFormedDocument) {
 TEST(SvgExport, ProfileChartHasBarsForEveryDownsampledEvent) {
     ProfilingSession session;
     const auto profile = figure2_profile(session);
-    const std::string svg = profile_to_svg(profile);
+    const std::string svg = profile_to_svg(profile, session.store().columns());
     EXPECT_NE(svg.find("<svg"), std::string::npos);
     // Reads green, writes/inserts red, size bars grey.
     EXPECT_NE(svg.find("#2e9e4f"), std::string::npos);
