@@ -17,15 +17,15 @@
 //     backing to a deque, turning O(n) front removals into O(1) pops.
 //   * word_index    — WordWheelSolver-shaped reverse lookups on a
 //     dictionary: key gets plus value -> key searches.  Frequent-Search
-//     on the dense entry view should build the reverse index.
+//     on the dense entry view should build the value index.
 //   * phase_change  — alternating search / queue phases; not a speed
 //     race but a thrash gauge: the hysteresis controller must converge
 //     in at most three switches instead of chasing every phase.
 //
 // Every workload is one templated driver, so the identical operation
-// sequence runs against the baseline, the adaptive container, and (for
-// list workloads) a ProfiledList whose trace feeds the offline
-// post-mortem engine — the bench asserts the adaptive verdicts match
+// sequence runs against the baseline, the adaptive container, and a
+// ProfiledList (for word_index, one holding the dictionary's values in
+// insertion order) whose trace feeds the offline post-mortem engine — the bench asserts the adaptive verdicts match
 // that offline analysis exactly (zero divergence) and that checksums
 // agree, then writes BENCH_closed_loop.json.  Machine note: the wins
 // measured here are algorithmic (index lookups, deque pops), so they
@@ -208,6 +208,43 @@ struct PlainWordIndex {
     [[nodiscard]] std::size_t count() const { return entries.size(); }
 };
 
+/// The access stream AdaptiveDictionary folds for run_word_index, on a
+/// ProfiledList of its values in insertion order: a new-key set is an
+/// Add, a get a Get, a find_key a predicate IndexOf search.  Every get
+/// and search in the workload hits, so each call has a positional twin.
+class PositionalWordIndex {
+public:
+    explicit PositionalWordIndex(ds::ProfiledList<long>& values)
+        : values_(values) {}
+
+    void set(long key, long value) {
+        std::size_t idx = 0;
+        if (pos_.try_get(key, idx)) {
+            values_.set(idx, value);
+            return;
+        }
+        pos_.set(key, keys_.size());
+        keys_.push_back(key);
+        values_.add(value);
+    }
+    [[nodiscard]] long get(long key) const {
+        std::size_t idx = 0;
+        pos_.try_get(key, idx);
+        return values_.get(idx);
+    }
+    [[nodiscard]] std::optional<long> find_key(long value) const {
+        const std::ptrdiff_t idx =
+            values_.find_index([value](long v) { return v == value; });
+        if (idx < 0) return std::nullopt;
+        return keys_[static_cast<std::size_t>(idx)];
+    }
+
+private:
+    ds::ProfiledList<long>& values_;
+    std::vector<long> keys_;
+    ds::Dictionary<long, std::size_t> pos_;
+};
+
 // --- measurement -------------------------------------------------------------
 
 constexpr int kReps = 3;
@@ -222,7 +259,7 @@ struct WorkloadResult {
     std::size_t switches = 0;
     std::size_t suppressed = 0;
     std::size_t events_folded = 0;
-    int verdict_divergence = -1;  // -1: not measured (no profiled twin)
+    int verdict_divergence = 0;
     std::vector<std::string> verdicts;
 
     [[nodiscard]] double speedup() const {
@@ -256,7 +293,7 @@ std::multiset<core::UseCaseKind> verdict_kinds(
     return kinds;
 }
 
-/// Run the same list workload through a ProfiledList and the offline
+/// Run the same workload through a ProfiledList and the offline
 /// post-mortem engine; return its verdict-kind multiset.
 template <typename Workload>
 std::multiset<core::UseCaseKind> offline_kinds(Workload workload) {
@@ -330,6 +367,12 @@ WorkloadResult run_dictionary_workload() {
             return sum;
         },
         &r.adaptive_checksum);
+    const std::multiset<core::UseCaseKind> offline =
+        offline_kinds([](ds::ProfiledList<long>& values) {
+            PositionalWordIndex dict(values);
+            return run_word_index(dict);
+        });
+    r.verdict_divergence = verdict_kinds(verdicts) == offline ? 0 : 1;
     for (const core::UseCase& uc : verdicts)
         r.verdicts.emplace_back(use_case_name(uc.kind));
     return r;
@@ -348,9 +391,8 @@ void write_workload_json(std::FILE* f, const WorkloadResult& r, bool last) {
                  r.final_strategy.c_str());
     std::fprintf(f, "      \"switches\": %zu,\n", r.switches);
     std::fprintf(f, "      \"suppressed_switches\": %zu,\n", r.suppressed);
-    if (r.verdict_divergence >= 0)
-        std::fprintf(f, "      \"verdict_divergence\": %d,\n",
-                     r.verdict_divergence);
+    std::fprintf(f, "      \"verdict_divergence\": %d,\n",
+                 r.verdict_divergence);
     std::fprintf(f, "      \"verdicts\": [");
     for (std::size_t i = 0; i < r.verdicts.size(); ++i)
         std::fprintf(f, "%s\"%s\"", i == 0 ? "" : ", ",
@@ -400,8 +442,7 @@ int main(int argc, char** argv) {
                          r.name.c_str());
             ok = false;
         }
-        if (r.verdict_divergence >= 0)
-            divergence_total += r.verdict_divergence;
+        divergence_total += r.verdict_divergence;
         if (r.name == "phase_change") {
             phase_switches = r.switches;
         } else if (r.speedup() > 1.3) {

@@ -20,137 +20,72 @@
 //   Implement-Queue /
 //   Insert-Delete-Front  -> DequeBacked (O(1) front inserts/deletes)
 //
-// Threading: a std::shared_mutex.  Reads take the shared lock; mutations
-// and strategy migrations take the exclusive lock.  Whether an operation
-// is the one that crosses the reclassification interval is decided by an
-// atomic counter *before* locking, so a read-only phase still
-// reclassifies (that op upgrades itself to the exclusive lock) and a
-// migration can never run under a shared lock.  Event folding has its own
-// serialization point (fold_mutex_) because IncrementalAnalyzer requires
-// per-instance seq order: two readers under the shared lock must not be
-// able to fold out of the order their seqs were issued in, so seq
-// assignment and the fold happen under one lock.  Read methods are const
-// but may adapt the internal representation — mutable members, the
-// self-organizing-container idiom.
+// The loop itself (fold, reclassify, controller, locking) is the shared
+// AdaptiveCore; this file holds only the backings and their migration.
+// Read methods are const but may adapt the internal representation.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <optional>
-#include <shared_mutex>
-#include <unordered_map>
 #include <utility>
 
-#include "adapt/controller.hpp"
-#include "core/incremental.hpp"
+#include "adapt/adaptive_core.hpp"
+#include "adapt/position_index.hpp"
 #include "ds/list.hpp"
 #include "ds/type_names.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "parallel/parallel_for.hpp"
 #include "runtime/access_event.hpp"
 
 namespace dsspy::adapt {
 
-namespace detail {
-
-/// Process-wide compact thread slot for synthesized events (the adaptive
-/// containers have no ProfilingSession to assign dense ids).
-inline runtime::ThreadId thread_slot() noexcept {
-    static std::atomic<std::uint16_t> next{0};
-    thread_local const std::uint16_t slot =
-        next.fetch_add(1, std::memory_order_relaxed);
-    return slot;
-}
-
-/// Self-telemetry for the adaptive layer (registered once, shared by all
-/// instances; no-ops while obs is disabled).
-struct AdaptMetrics {
-    obs::MetricId switches;
-    obs::MetricId reclassifications;
-    obs::MetricId suppressed;
-
-    static const AdaptMetrics& get() {
-        static const AdaptMetrics m{
-            obs::MetricsRegistry::global().counter("adapt.switches"),
-            obs::MetricsRegistry::global().counter(
-                "adapt.reclassifications"),
-            obs::MetricsRegistry::global().counter(
-                "adapt.suppressed_switches"),
-        };
-        return m;
-    }
-};
-
-}  // namespace detail
-
-/// Tuning for an adaptive container.
-struct AdaptConfig {
-    /// Operations between reclassifications (the analyzer fold runs every
-    /// operation; only the classify + controller step is periodic).
-    std::size_t reclassify_interval = 256;
-    ControllerConfig controller{};
-    core::DetectorConfig detector{};
-};
-
 /// Self-adapting List<T>.  API and recorded-event semantics mirror
 /// ds::ProfiledList; see the file comment for the strategy loop.
 template <typename T>
-class AdaptiveList {
+class AdaptiveList : public AdaptiveCore {
 public:
     explicit AdaptiveList(AdaptConfig config = {},
                           support::SourceLoc location = {"AdaptiveList",
                                                          "self", 0})
-        : config_(config),
-          analyzer_(config.detector),
-          controller_(config.controller) {
-        info_.id = 0;
-        info_.kind = runtime::DsKind::List;
-        info_.type_name = ds::container_type_name<T>("AdaptiveList");
-        info_.location = std::move(location);
-        analyzer_.declare_instance(info_);
-    }
-
-    AdaptiveList(const AdaptiveList&) = delete;
-    AdaptiveList& operator=(const AdaptiveList&) = delete;
+        : AdaptiveCore(config, ds::container_type_name<T>("AdaptiveList"),
+                       std::move(location)) {}
 
     // --- element access ---------------------------------------------------
 
     /// Indexer read; by value — a reference could dangle across a
     /// concurrent backing migration.
     [[nodiscard]] T get(std::size_t index) const {
-        return read_op(runtime::OpKind::Get,
-                       static_cast<std::int64_t>(index),
-                       [index](const AdaptiveList& self) {
-                           return self.backing_get(index);
-                       });
+        return read([this, index] {
+            fold(runtime::OpKind::Get, static_cast<std::int64_t>(index),
+                 backing_size());
+            return backing_get(index);
+        });
     }
 
     void set(std::size_t index, T value) {
-        std::unique_lock lock(mutex_);
-        fold(runtime::OpKind::Set, static_cast<std::int64_t>(index),
-             backing_count());
-        std::optional<T> old;
-        if (index_) old = backing_get(index);
-        if (deque_) {
-            (*deque_)[index] = std::move(value);
-        } else {
-            list_.set(index, std::move(value));
-        }
-        if (index_ && !(*old == backing_get(index))) {
-            index_remove_occurrence(*old, index);
-            index_add(backing_get(index), index);
-        }
-        maybe_reclassify(lock);
+        write([&] {
+            fold(runtime::OpKind::Set, static_cast<std::int64_t>(index),
+                 backing_size());
+            std::optional<T> old;
+            if (index_) old = backing_get(index);
+            if (deque_) {
+                (*deque_)[index] = std::move(value);
+            } else {
+                list_.set(index, std::move(value));
+            }
+            if (index_ && !(*old == backing_get(index))) {
+                index_->remove(*old, index, backing_size(), value_at());
+                index_->add(backing_get(index), index);
+            }
+        });
     }
 
     // --- size -------------------------------------------------------------
 
     [[nodiscard]] std::size_t count() const {
-        std::shared_lock lock(mutex_);
-        return backing_count();
+        return inspect([this] { return backing_size(); });
     }
     [[nodiscard]] bool empty() const { return count() == 0; }
 
@@ -158,47 +93,47 @@ public:
 
     /// Append; recorded as Add at the landing index.
     void add(T value) {
-        std::unique_lock lock(mutex_);
-        const std::size_t landing = backing_count();
-        if (deque_) {
-            deque_->push_back(value);
-        } else {
-            list_.add(value);
-        }
-        fold(runtime::OpKind::Add, static_cast<std::int64_t>(landing),
-             backing_count());
-        // Appends shift nothing: a single occurrence bump keeps the index
-        // exact.
-        if (index_) index_add(value, landing);
-        maybe_reclassify(lock);
+        write([&] {
+            const std::size_t landing = backing_size();
+            if (deque_) {
+                deque_->push_back(value);
+            } else {
+                list_.add(value);
+            }
+            fold(runtime::OpKind::Add, static_cast<std::int64_t>(landing),
+                 backing_size());
+            // Appends shift nothing: a single occurrence bump keeps the
+            // index exact.
+            if (index_) index_->add(value, landing);
+        });
     }
 
     /// Positional insert; recorded as InsertAt.
     void insert(std::size_t index, T value) {
-        std::unique_lock lock(mutex_);
-        if (index_) {
-            index_shift_up(index);
-            index_add(value, index);
-        }
-        if (deque_) {
-            deque_->insert(deque_->begin() +
-                               static_cast<std::ptrdiff_t>(index),
-                           std::move(value));
-        } else {
-            list_.insert(index, std::move(value));
-        }
-        fold(runtime::OpKind::InsertAt, static_cast<std::int64_t>(index),
-             backing_count());
-        maybe_reclassify(lock);
+        write([&] {
+            if (index_) {
+                index_->shift_up(index);
+                index_->add(value, index);
+            }
+            if (deque_) {
+                deque_->insert(deque_->begin() +
+                                   static_cast<std::ptrdiff_t>(index),
+                               std::move(value));
+            } else {
+                list_.insert(index, std::move(value));
+            }
+            fold(runtime::OpKind::InsertAt, static_cast<std::int64_t>(index),
+                 backing_size());
+        });
     }
 
     /// Positional removal; recorded as RemoveAt.
     void remove_at(std::size_t index) {
-        std::unique_lock lock(mutex_);
-        erase_at(index);
-        fold(runtime::OpKind::RemoveAt, static_cast<std::int64_t>(index),
-             backing_count());
-        maybe_reclassify(lock);
+        write([&] {
+            erase_at(index);
+            fold(runtime::OpKind::RemoveAt, static_cast<std::int64_t>(index),
+                 backing_size());
+        });
     }
 
     /// Remove first equal element; search + removal both recorded (the
@@ -206,31 +141,31 @@ public:
     /// section — the found index must not go stale under a concurrent
     /// mutation between the search and the erase.
     bool remove(const T& value) {
-        std::unique_lock lock(mutex_);
-        const std::ptrdiff_t idx = backing_index_of(value);
-        fold(runtime::OpKind::IndexOf,
-             idx >= 0 ? idx : runtime::kWholeContainer, backing_count());
-        // The search counts as one operation; a reclassification here may
-        // migrate the backing, which preserves element order, so idx
-        // stays valid.
-        maybe_reclassify(lock);
-        if (idx < 0) return false;
-        erase_at(static_cast<std::size_t>(idx));
-        fold(runtime::OpKind::RemoveAt, idx, backing_count());
-        maybe_reclassify(lock);
-        return true;
+        return write([&] {
+            const std::ptrdiff_t idx = backing_index_of(value);
+            fold(runtime::OpKind::IndexOf,
+                 idx >= 0 ? idx : runtime::kWholeContainer, backing_size());
+            if (idx < 0) return false;
+            // The search counts as one operation; a reclassification here
+            // may migrate the backing, which preserves element order, so
+            // idx stays valid.
+            count_op();
+            erase_at(static_cast<std::size_t>(idx));
+            fold(runtime::OpKind::RemoveAt, idx, backing_size());
+            return true;
+        });
     }
 
     void clear() {
-        std::unique_lock lock(mutex_);
-        if (deque_) {
-            deque_->clear();
-        } else {
-            list_.clear();
-        }
-        if (index_) index_->clear();
-        fold(runtime::OpKind::Clear, runtime::kWholeContainer, 0);
-        maybe_reclassify(lock);
+        write([&] {
+            if (deque_) {
+                deque_->clear();
+            } else {
+                list_.clear();
+            }
+            if (index_) index_->clear();
+            fold(runtime::OpKind::Clear, runtime::kWholeContainer, 0);
+        });
     }
 
     // --- whole-container operations ---------------------------------------
@@ -239,10 +174,12 @@ public:
     /// dictionary (O(1)) or the Parallel strategy fans the scan out in
     /// chunks.  Recorded as IndexOf with the hit position.
     [[nodiscard]] std::ptrdiff_t index_of(const T& value) const {
-        return read_op_with_position(
-            [&value](const AdaptiveList& self) {
-                return self.backing_index_of(value);
-            });
+        return read([this, &value] {
+            const std::ptrdiff_t idx = backing_index_of(value);
+            fold(runtime::OpKind::IndexOf,
+                 idx >= 0 ? idx : runtime::kWholeContainer, backing_size());
+            return idx;
+        });
     }
 
     [[nodiscard]] bool contains(const T& value) const {
@@ -250,29 +187,29 @@ public:
     }
 
     void sort() {
-        std::unique_lock lock(mutex_);
-        if (deque_) {
-            std::sort(deque_->begin(), deque_->end());
-        } else {
-            list_.sort();
-        }
-        fold(runtime::OpKind::Sort, runtime::kWholeContainer,
-             backing_count());
-        if (index_) rebuild_index();
-        maybe_reclassify(lock);
+        write([&] {
+            if (deque_) {
+                std::sort(deque_->begin(), deque_->end());
+            } else {
+                list_.sort();
+            }
+            fold(runtime::OpKind::Sort, runtime::kWholeContainer,
+                 backing_size());
+            if (index_) index_->rebuild(backing_size(), value_at());
+        });
     }
 
     void reverse() {
-        std::unique_lock lock(mutex_);
-        if (deque_) {
-            std::reverse(deque_->begin(), deque_->end());
-        } else {
-            list_.reverse();
-        }
-        fold(runtime::OpKind::Reverse, runtime::kWholeContainer,
-             backing_count());
-        if (index_) rebuild_index();
-        maybe_reclassify(lock);
+        write([&] {
+            if (deque_) {
+                std::reverse(deque_->begin(), deque_->end());
+            } else {
+                list_.reverse();
+            }
+            fold(runtime::OpKind::Reverse, runtime::kWholeContainer,
+                 backing_size());
+            if (index_) index_->rebuild(backing_size(), value_at());
+        });
     }
 
     /// Whole-container traversal; recorded as a single ForEach event.
@@ -281,55 +218,17 @@ public:
     /// sequentially, in order, under every other strategy).
     template <typename Fn>
     void for_each(Fn fn) const {
-        const bool reclassify = crosses_interval();
-        if (reclassify) {
-            std::unique_lock lock(mutex_);
+        read([this, &fn] {
             fold(runtime::OpKind::ForEach, runtime::kWholeContainer,
-                 backing_count());
+                 backing_size());
             backing_for_each(fn);
-            do_reclassify();
-            return;
-        }
-        std::shared_lock lock(mutex_);
-        fold(runtime::OpKind::ForEach, runtime::kWholeContainer,
-             backing_count());
-        backing_for_each(fn);
-    }
-
-    // --- adaptation introspection -----------------------------------------
-
-    [[nodiscard]] Strategy strategy() const {
-        std::shared_lock lock(mutex_);
-        return controller_.current();
-    }
-
-    /// Completed backing migrations (the thrash counter).
-    [[nodiscard]] std::size_t switch_count() const {
-        std::shared_lock lock(mutex_);
-        return controller_.switch_count();
-    }
-
-    /// Switches the hysteresis suppressed.
-    [[nodiscard]] std::size_t suppressed_count() const {
-        std::shared_lock lock(mutex_);
-        return controller_.suppressed_count();
-    }
-
-    /// Current verdicts of the embedded analyzer — what offline analysis
-    /// of the same access stream would report right now.
-    [[nodiscard]] std::vector<core::UseCase> verdicts() const {
-        std::shared_lock lock(mutex_);
-        return current_verdicts();
-    }
-
-    [[nodiscard]] std::uint64_t events_folded() const {
-        return analyzer_.events_folded();
+        });
     }
 
 private:
     // --- backing dispatch (callers hold a lock) ---------------------------
 
-    [[nodiscard]] std::size_t backing_count() const {
+    [[nodiscard]] std::size_t backing_size() const final {
         return deque_ ? deque_->size() : list_.count();
     }
 
@@ -337,21 +236,20 @@ private:
         return deque_ ? (*deque_)[index] : list_.get(index);
     }
 
+    /// The search index's view of the backing.
+    [[nodiscard]] auto value_at() const {
+        return [this](std::size_t i) { return backing_get(i); };
+    }
+
     [[nodiscard]] std::ptrdiff_t backing_index_of(const T& value) const {
-        if (index_) {
-            const auto it = index_->find(value);
-            return it != index_->end()
-                       ? static_cast<std::ptrdiff_t>(it->second.first)
-                       : -1;
-        }
+        if (index_) return index_->find(value);
         if (deque_) {
             for (std::size_t i = 0; i < deque_->size(); ++i)
                 if ((*deque_)[i] == value)
                     return static_cast<std::ptrdiff_t>(i);
             return -1;
         }
-        if (controller_.current() == Strategy::Parallel &&
-            list_.count() >= 2048) {
+        if (fans_out(list_.count())) {
             // Chunked parallel scan; the atomic min keeps the
             // first-occurrence answer deterministic.
             std::atomic<std::size_t> first{list_.count()};
@@ -384,8 +282,7 @@ private:
             for (const T& v : *deque_) fn(v);
             return;
         }
-        if (controller_.current() == Strategy::Parallel &&
-            list_.count() >= 2048) {
+        if (fans_out(list_.count())) {
             par::parallel_for_chunks(
                 0, list_.count(),
                 [this, &fn](std::size_t lo, std::size_t hi) {
@@ -396,10 +293,8 @@ private:
         list_.for_each([&fn](const T& v) { fn(v); });
     }
 
-    // --- erase + index maintenance (callers hold the exclusive lock) ------
-
     /// Erase the element at `index`, keeping the search index (when the
-    /// Indexed strategy holds one) exact.
+    /// Indexed strategy holds one) exact.  Exclusive lock held.
     void erase_at(std::size_t index) {
         std::optional<T> old;
         if (index_) old = backing_get(index);
@@ -409,144 +304,13 @@ private:
         } else {
             list_.remove_at(index);
         }
-        if (index_) index_erase_at(*old, index);
+        if (index_)
+            index_->erase_at(*old, index, backing_size(), value_at());
     }
 
-    /// One more occurrence of `value` now lives at `index` (no positions
-    /// shifted).  O(1).
-    void index_add(const T& value, std::size_t index) const {
-        auto [it, fresh] = index_->try_emplace(value, IndexEntry{index, 0});
-        ++it->second.count;
-        if (index < it->second.first) it->second.first = index;
-    }
+    // --- migration --------------------------------------------------------
 
-    /// The occurrence of `value` at `index` was overwritten in place (no
-    /// positions shifted).  O(1) unless the canonical occurrence of a
-    /// duplicated value was hit, which re-derives by a targeted scan.
-    void index_remove_occurrence(const T& value, std::size_t index) const {
-        const auto it = index_->find(value);
-        if (it == index_->end()) return;
-        if (it->second.count <= 1) {
-            index_->erase(it);
-            return;
-        }
-        --it->second.count;
-        if (it->second.first == index)
-            it->second.first = scan_first(value, index);
-    }
-
-    /// All occurrences at positions >= `index` are about to shift up by
-    /// one (positional insert).  O(distinct values), no element rescan.
-    void index_shift_up(std::size_t index) const {
-        for (auto& [value, entry] : *index_)
-            if (entry.first >= index) ++entry.first;
-    }
-
-    /// The element at `index` (holding `value`) was erased and everything
-    /// behind it shifted down by one.  Called after the backing erase.
-    void index_erase_at(const T& value, std::size_t index) const {
-        const auto it = index_->find(value);
-        for (auto& [v, entry] : *index_)
-            if (entry.first > index) --entry.first;
-        if (it == index_->end()) return;
-        if (it->second.count <= 1) {
-            index_->erase(it);
-            return;
-        }
-        --it->second.count;
-        // The erased occurrence was the canonical one: re-derive from the
-        // already-shifted backing.
-        if (it->second.first == index)
-            it->second.first = scan_first(value, backing_count());
-    }
-
-    /// First occurrence of `value` in the backing, ignoring `skip`.
-    /// Only reached when duplicates guarantee a hit.
-    [[nodiscard]] std::size_t scan_first(const T& value,
-                                         std::size_t skip) const {
-        const std::size_t n = backing_count();
-        for (std::size_t i = 0; i < n; ++i)
-            if (i != skip && backing_get(i) == value) return i;
-        return n;  // Unreachable while counts are consistent.
-    }
-
-    // --- event synthesis ---------------------------------------------------
-
-    /// Fold one synthesized event, mirroring ds::ProfiledList's recording
-    /// conventions (op, position, size-at-access).  Seq issue and fold
-    /// happen under one lock: IncrementalAnalyzer requires per-instance
-    /// seq order, and two shared-lock readers must not reorder between
-    /// taking a seq and folding it.
-    void fold(runtime::OpKind op, std::int64_t position,
-              std::size_t size) const {
-        runtime::AccessEvent ev;
-        ev.position = position;
-        ev.instance = info_.id;
-        ev.size = static_cast<std::uint32_t>(size);
-        ev.op = op;
-        ev.thread = detail::thread_slot();
-        const std::lock_guard<std::mutex> guard(fold_mutex_);
-        ev.seq = seq_++;
-        ev.time_ns = ev.seq;  // Logical clock: classification under the
-                              // default config is event-based.
-        analyzer_.fold(ev);
-    }
-
-    // --- reclassification & migration -------------------------------------
-
-    /// Pre-lock decision: is this the operation that crosses the
-    /// reclassification interval?
-    [[nodiscard]] bool crosses_interval() const {
-        const std::uint64_t n =
-            ops_.fetch_add(1, std::memory_order_relaxed) + 1;
-        return config_.reclassify_interval != 0 &&
-               n % config_.reclassify_interval == 0;
-    }
-
-    void maybe_reclassify(std::unique_lock<std::shared_mutex>&) const {
-        if (crosses_interval()) do_reclassify();
-    }
-
-    [[nodiscard]] std::vector<core::UseCase> current_verdicts() const {
-        core::StreamReport report = analyzer_.snapshot({info_});
-        for (const core::StreamInstance& si : report.instances())
-            if (si.stats.info.id == info_.id) return si.use_cases;
-        return {};
-    }
-
-    /// Runs under the exclusive lock: classify, consult the controller,
-    /// migrate the backing if the strategy changed.
-    void do_reclassify() const {
-        const std::vector<core::UseCase> verdicts = current_verdicts();
-        std::vector<AdviceSignal> signals;
-        signals.reserve(verdicts.size());
-        for (const core::UseCase& uc : verdicts)
-            signals.push_back({uc.advice.action, uc.confidence()});
-        const std::uint64_t now = ops_.load(std::memory_order_relaxed);
-        const std::size_t delta =
-            static_cast<std::size_t>(now - last_observed_ops_);
-        last_observed_ops_ = now;
-        const Strategy before = controller_.current();
-        const std::size_t suppressed_before = controller_.suppressed_count();
-        const Strategy after = controller_.observe(
-            signals.data(), signals.size(), backing_count(), delta);
-        if (obs::enabled()) {
-            const auto& m = detail::AdaptMetrics::get();
-            obs::MetricsRegistry::global().add(m.reclassifications);
-            const std::size_t newly_suppressed =
-                controller_.suppressed_count() - suppressed_before;
-            if (newly_suppressed > 0)
-                obs::MetricsRegistry::global().add(m.suppressed,
-                                                   newly_suppressed);
-        }
-        if (after != before) migrate(before, after);
-    }
-
-    void migrate(Strategy from, Strategy to) const {
-        DSSPY_TRACE_SPAN("adapt.switch");
-        if (obs::enabled())
-            obs::MetricsRegistry::global().add(
-                detail::AdaptMetrics::get().switches);
+    void migrate(Strategy from, Strategy to) const final {
         // Leave the old backing.
         if (from == Strategy::DequeBacked && to != Strategy::DequeBacked) {
             list_.clear();
@@ -560,7 +324,7 @@ private:
         switch (to) {
             case Strategy::Indexed:
                 index_.emplace();
-                rebuild_index();
+                index_->rebuild(backing_size(), value_at());
                 break;
             case Strategy::DequeBacked: {
                 deque_.emplace();
@@ -574,82 +338,9 @@ private:
         }
     }
 
-    /// Full rebuild of the value -> (first index, count) map — only for
-    /// wholesale reorderings (sort/reverse, entering Indexed); point
-    /// mutations maintain the map incrementally.
-    void rebuild_index() const {
-        index_->clear();
-        for (std::size_t i = 0; i < list_.count(); ++i) {
-            auto [it, fresh] =
-                index_->try_emplace(list_.get(i), IndexEntry{i, 0});
-            ++it->second.count;
-        }
-    }
-
-    // --- read-path helpers --------------------------------------------------
-
-    /// A read operation: shared lock normally; the interval-crossing op
-    /// takes the exclusive lock so it can reclassify (and migrate) at a
-    /// safe point.
-    template <typename Body>
-    [[nodiscard]] auto read_op(runtime::OpKind op, std::int64_t position,
-                               Body body) const {
-        const bool reclassify = crosses_interval();
-        if (reclassify) {
-            std::unique_lock lock(mutex_);
-            fold(op, position, backing_count());
-            auto result = body(*this);
-            do_reclassify();
-            return result;
-        }
-        std::shared_lock lock(mutex_);
-        fold(op, position, backing_count());
-        return body(*this);
-    }
-
-    /// index_of variant: the recorded position is the hit index (or
-    /// kWholeContainer on miss), known only after the search.
-    template <typename Body>
-    [[nodiscard]] std::ptrdiff_t read_op_with_position(Body body) const {
-        const bool reclassify = crosses_interval();
-        if (reclassify) {
-            std::unique_lock lock(mutex_);
-            const std::ptrdiff_t idx = body(*this);
-            fold(runtime::OpKind::IndexOf,
-                 idx >= 0 ? idx : runtime::kWholeContainer,
-                 backing_count());
-            do_reclassify();
-            return idx;
-        }
-        std::shared_lock lock(mutex_);
-        const std::ptrdiff_t idx = body(*this);
-        fold(runtime::OpKind::IndexOf,
-             idx >= 0 ? idx : runtime::kWholeContainer, backing_count());
-        return idx;
-    }
-
-    /// Search-index bookkeeping: smallest index holding the value plus
-    /// its occurrence count, so point mutations update in O(1) and only
-    /// erasing the canonical occurrence of a duplicate needs a rescan.
-    struct IndexEntry {
-        std::size_t first = 0;
-        std::size_t count = 0;
-    };
-
-    AdaptConfig config_;
-    runtime::InstanceInfo info_;
-
-    mutable std::shared_mutex mutex_;
     mutable ds::List<T> list_;
     mutable std::optional<std::deque<T>> deque_;
-    mutable std::optional<std::unordered_map<T, IndexEntry>> index_;
-
-    mutable core::IncrementalAnalyzer analyzer_;
-    mutable HysteresisController controller_;
-    mutable std::mutex fold_mutex_;
-    mutable std::uint64_t seq_ = 0;
-    mutable std::atomic<std::uint64_t> ops_{0};
-    mutable std::uint64_t last_observed_ops_ = 0;
+    mutable std::optional<PositionIndex<T>> index_;
 };
 
 }  // namespace dsspy::adapt

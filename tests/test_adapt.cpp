@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "core/dsspy.hpp"
 #include "ds/list.hpp"
 #include "ds/profiled_list.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/session.hpp"
 
 namespace {
@@ -397,6 +400,62 @@ TEST(AdaptConcurrency, ConcurrentRemovesByValueStayInBounds) {
               static_cast<std::size_t>(4 * kValues));
 }
 
+TEST(AdaptConcurrency, DictionaryReadersRaceIndexMigrations) {
+    AdaptConfig config = fast_config();
+    config.reclassify_interval = 32;  // Migrate as often as possible.
+    AdaptiveDictionary<int, int> dict(config);
+    // Keys below 256 are never removed, so readers may get() them.
+    for (int k = 0; k < 256; ++k) dict.set(k, k * 3);
+    // Enter Indexed first (in-order gets for the read patterns, then
+    // value searches), so the race below starts with a live index.
+    for (int k = 0; k < 256; ++k) (void)dict.get(k);
+    for (int round = 0;
+         round < 100 && dict.strategy() != Strategy::Indexed; ++round)
+        for (int k = 0; k < 256; ++k) (void)dict.find_key(k * 3);
+    ASSERT_EQ(dict.strategy(), Strategy::Indexed);
+    const std::size_t switches_before = dict.switch_count();
+
+    std::atomic<bool> stop{false};
+    std::atomic<std::uint64_t> reads{0};
+    std::vector<std::jthread> readers;
+    for (int t = 0; t < 3; ++t) {
+        readers.emplace_back([&dict, &stop, &reads] {
+            std::uint64_t local = 0;
+            while (!stop.load(std::memory_order_relaxed)) {
+                const int k = static_cast<int>(local % 256);
+                EXPECT_EQ(dict.get(k), k * 3);
+                int out = -1;
+                EXPECT_TRUE(dict.try_get(k, out));
+                EXPECT_EQ(out, k * 3);
+                EXPECT_EQ(dict.find_key(k * 3).value_or(-1), k);
+                (void)dict.find_key(static_cast<int>(local % 2'000));
+                long sum = 0;
+                dict.for_each([&sum](int, int v) { sum += v; });
+                ++local;
+                reads.fetch_add(1, std::memory_order_relaxed);
+            }
+        });
+    }
+    // The writer alternates an insert phase with a removal phase: the
+    // index is maintained under shifting positions while the readers
+    // search it, and the shifting verdicts migrate the container out of
+    // Indexed (and on) under the readers' feet.  It keeps going until the
+    // readers made real progress and at least one migration happened.
+    for (int round = 0;
+         round < 200 && (reads.load(std::memory_order_relaxed) < 200 ||
+                         round < 3 || dict.switch_count() == switches_before);
+         ++round) {
+        for (int k = 256; k < 656; ++k) dict.set(k, k % 7);
+        for (int k = 256; k < 656; ++k) EXPECT_TRUE(dict.remove(k));
+    }
+    stop.store(true);
+    readers.clear();
+    EXPECT_GE(reads.load(), 200u);
+    EXPECT_GT(dict.switch_count(), switches_before);
+    EXPECT_EQ(dict.count(), 256u);
+    EXPECT_EQ(dict.find_key(255 * 3).value_or(-1), 255);
+}
+
 // --- AdaptiveDictionary ------------------------------------------------------
 
 TEST(AdaptDictionary, BasicMapSemantics) {
@@ -611,6 +670,119 @@ TEST(AdaptDictionary, FindKeyReturnsFirstInsertedAmongDuplicateValues) {
         for (int i = 0; i < 40; ++i) (void)dict.find_key(77);
     ASSERT_EQ(dict.strategy(), Strategy::Indexed);
     EXPECT_EQ(dict.find_key(77).value_or(-1), 5);
+}
+
+TEST(AdaptDictionary, ThrowingGetAtIntervalStillReclassifies) {
+    // The interval-crossing read reclassifies even when its body throws:
+    // a missing-key get() is still an operation of the interval.
+    auto& registry = dsspy::obs::MetricsRegistry::global();
+    registry.reset();
+    registry.set_enabled(true);
+    AdaptConfig config;
+    config.reclassify_interval = 4;
+    AdaptiveDictionary<int, int> dict(config);
+    dict.set(1, 10);
+    dict.set(2, 20);
+    EXPECT_EQ(dict.get(1), 10);
+    EXPECT_THROW((void)dict.get(3), std::out_of_range);  // 4th operation.
+    std::uint64_t reclassifications = 0;
+    for (const auto& m : registry.collect())
+        if (m.name == "adapt.reclassifications") reclassifications = m.value;
+    registry.set_enabled(false);
+    registry.reset();
+    EXPECT_EQ(reclassifications, 1u);
+}
+
+/// The positional access stream an AdaptiveDictionary folds for the same
+/// calls, replayed on a ds::ProfiledList of its values in insertion
+/// order: a new-key set is an Add, an overwrite a Set, a get a Get, a
+/// find_key a predicate IndexOf search, a remove a RemoveAt and a
+/// for_each a ForEach.  Hits only: a miss has no positional twin.
+class PositionalDictionary {
+public:
+    explicit PositionalDictionary(dsspy::ds::ProfiledList<long>& values)
+        : values_(values) {}
+
+    void set(long key, long value) {
+        const auto it = std::find(keys_.begin(), keys_.end(), key);
+        if (it == keys_.end()) {
+            keys_.push_back(key);
+            values_.add(value);
+        } else {
+            values_.set(static_cast<std::size_t>(it - keys_.begin()), value);
+        }
+    }
+    [[nodiscard]] long get(long key) const {
+        return values_.get(position(key));
+    }
+    [[nodiscard]] std::optional<long> find_key(long value) const {
+        const std::ptrdiff_t idx =
+            values_.find_index([value](long v) { return v == value; });
+        if (idx < 0) return std::nullopt;
+        return keys_[static_cast<std::size_t>(idx)];
+    }
+    bool remove(long key) {
+        const std::size_t pos = position(key);
+        keys_.erase(keys_.begin() + static_cast<std::ptrdiff_t>(pos));
+        values_.remove_at(pos);
+        return true;
+    }
+    template <typename Fn>
+    void for_each(Fn fn) const {
+        std::size_t i = 0;
+        values_.for_each([&](long v) { fn(keys_[i++], v); });
+    }
+
+private:
+    [[nodiscard]] std::size_t position(long key) const {
+        return static_cast<std::size_t>(
+            std::find(keys_.begin(), keys_.end(), key) - keys_.begin());
+    }
+
+    dsspy::ds::ProfiledList<long>& values_;
+    std::vector<long> keys_;
+};
+
+/// One dictionary workload (hits only), driven identically against the
+/// positional twin and an AdaptiveDictionary.
+template <typename DictT>
+void drive_dictionary_verdict_workload(DictT& dict) {
+    for (long round = 0; round < 6; ++round) {
+        const long base = round * 1'000;
+        for (long i = 0; i < 200; ++i) dict.set(base + i, (base + i) * 7);
+        for (long i = 0; i < 200; ++i)
+            ASSERT_EQ(dict.get(base + i), (base + i) * 7);
+        for (long i = 0; i < 300; ++i)
+            ASSERT_EQ(dict.find_key((base + i % 200) * 7), base + i % 200);
+        for (long i = 0; i < 40; ++i) dict.set(base + i, round);
+        for (long i = 190; i < 200; ++i) ASSERT_TRUE(dict.remove(base + i));
+        long sum = 0;
+        dict.for_each([&sum](long, long v) { sum += v; });
+        ASSERT_GT(sum, 0);
+    }
+}
+
+TEST(AdaptDictionary, VerdictsMatchOfflineAnalysisOfSameStream) {
+    dsspy::runtime::ProfilingSession session;
+    dsspy::ds::ProfiledList<long> profiled(&session, {"Adapt", "Dict", 1});
+    PositionalDictionary twin(profiled);
+    drive_dictionary_verdict_workload(twin);
+    session.stop();
+    const dsspy::core::AnalysisResult offline =
+        dsspy::core::Dsspy{}.analyze(session);
+    std::multiset<UseCaseKind> offline_kinds;
+    for (const auto& inst : offline.instances())
+        for (const auto& uc : inst.use_cases)
+            offline_kinds.insert(uc.kind);
+
+    AdaptiveDictionary<long, long> adaptive(fast_config());
+    drive_dictionary_verdict_workload(adaptive);
+
+    EXPECT_FALSE(offline_kinds.empty());
+    EXPECT_EQ(verdict_kinds(adaptive.verdicts()), offline_kinds)
+        << "adaptive dictionary verdicts diverged from offline analysis";
+    // Same number of operations on both sides: the streams line up.
+    EXPECT_EQ(adaptive.events_folded(), session.events_recorded());
 }
 
 }  // namespace
