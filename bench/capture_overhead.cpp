@@ -30,6 +30,7 @@
 #include "ds/profiled_list.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "provenance.hpp"
 #include "runtime/session.hpp"
 
 namespace {
@@ -261,14 +262,17 @@ int main(int argc, char** argv) {
         {"record_streaming_mt4",
          bench_record_mt(runtime::CaptureMode::Streaming, 4, rounds)});
 
+    // Measured after the timed sections so its spinning threads cannot
+    // disturb them.
+    const std::string provenance = dsspy::bench::provenance_json();
+
     std::FILE* f = std::fopen(out_path.c_str(), "w");
     if (f == nullptr) {
         std::perror("capture_overhead: fopen");
         return 1;
     }
     std::fprintf(f, "{\n  \"benchmark\": \"capture_overhead\",\n");
-    std::fprintf(f, "  \"hardware_threads\": %u,\n",
-                 std::thread::hardware_concurrency());
+    std::fputs(provenance.c_str(), f);
     std::fprintf(f, "  \"ops_per_round\": %zu,\n", kOpsPerRound);
     std::fprintf(f, "  \"rounds\": %d,\n", rounds);
     std::fprintf(f, "  \"seq_block_size\": %llu,\n",
@@ -276,6 +280,10 @@ int main(int argc, char** argv) {
                      runtime::ProfilingSession::kSeqBlockSize));
     std::fprintf(f, "  \"timestamp_stride\": %u,\n",
                  runtime::ProfilingSession::kTimestampStride);
+    std::fprintf(f, "  \"buffered_bytes_per_event\": %.4f,\n",
+                 static_cast<double>(runtime::ProfilingSession::chunk_bytes(
+                     runtime::ProfilingSession::kMaxChunkEvents)) /
+                     runtime::ProfilingSession::kMaxChunkEvents);
     std::fprintf(f, "  \"results\": [\n");
     for (std::size_t i = 0; i < results.size(); ++i) {
         const Result& res = results[i];
@@ -310,8 +318,7 @@ int main(int argc, char** argv) {
         return 1;
     }
     std::fprintf(fo, "{\n  \"benchmark\": \"obs_overhead\",\n");
-    std::fprintf(fo, "  \"hardware_threads\": %u,\n",
-                 std::thread::hardware_concurrency());
+    std::fputs(provenance.c_str(), fo);
     std::fprintf(fo, "  \"ops_per_round\": %zu,\n", kOpsPerRound);
     std::fprintf(fo, "  \"rounds\": %d,\n", rounds);
     std::fprintf(fo, "  \"results\": [\n");
@@ -342,8 +349,7 @@ int main(int argc, char** argv) {
         return 1;
     }
     std::fprintf(ft, "{\n  \"benchmark\": \"trace_obs_overhead\",\n");
-    std::fprintf(ft, "  \"hardware_threads\": %u,\n",
-                 std::thread::hardware_concurrency());
+    std::fputs(provenance.c_str(), ft);
     std::fprintf(ft, "  \"ops_per_round\": %zu,\n", kOpsPerRound);
     std::fprintf(ft, "  \"rounds\": %d,\n", rounds);
     std::fprintf(ft, "  \"acceptance_bound_pct\": 2.0,\n");

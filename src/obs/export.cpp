@@ -89,6 +89,7 @@ void write_overhead_json(std::ostream& os, const SelfOverhead& ov) {
        << ov.instrumented_ns_per_event << ",\n"
        << "    \"amortized_ns_per_event\": " << ov.amortized_ns_per_event
        << ",\n"
+       << "    \"stop_ns\": " << ov.stop_ns << ",\n"
        << "    \"capture_cost_ns\": " << ov.capture_cost_ns << ",\n"
        << "    \"overhead_fraction\": " << ov.overhead_fraction << ",\n"
        << "    \"estimated_slowdown\": " << ov.estimated_slowdown << "\n"

@@ -216,7 +216,9 @@ public:
             overhead = obs::estimate_self_overhead(
                 outcome.session->events_recorded(),
                 outcome.session->capture_duration_ns(),
-                runtime::ProfilingSession::kTimestampStride);
+                outcome.session->stop_duration_ns(),
+                runtime::ProfilingSession::kTimestampStride,
+                runtime::ProfilingSession::kMaxChunkEvents);
             overhead_ptr = &overhead;
         }
         const std::vector<obs::MetricValue> metrics = reg.collect();

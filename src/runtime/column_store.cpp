@@ -83,6 +83,13 @@ ColumnStore ColumnStore::group(
     });
 }
 
+ColumnStore ColumnStore::group(std::span<const CaptureBlock> blocks) {
+    return group_rows([blocks](auto&& fn) {
+        for (const CaptureBlock& block : blocks)
+            for (std::size_t i = 0; i < block.rows; ++i) fn(block.row(i));
+    });
+}
+
 ColumnStore ColumnStore::group(ColumnStore rows,
                                std::span<const InstanceId> instances) {
     const std::size_t n = instances.size();

@@ -9,8 +9,9 @@
 // bytes they need, and the SIMD paths get unit-stride loads for free.
 //
 // Every producer builds it through one grouping routine, ColumnStore::group:
-//   * capture stop() — straight out of the sealed per-thread chunks (or
-//     the batches a Streaming collector staged), via ProfileStore;
+//   * capture stop() — straight out of the sealed per-thread chunks in
+//     their compact form (CaptureBlock), or the batches a Streaming
+//     collector staged, via ProfileStore;
 //   * the CSV trace reader — from its parsed event batches;
 //   * the DST1 column decoder (trace_mmap.hpp) — from decoded rows.
 #pragma once
@@ -23,6 +24,50 @@
 #include "runtime/access_event.hpp"
 
 namespace dsspy::runtime {
+
+/// Buffered capture numbers each thread's events in blocks of this many
+/// consecutive sequence numbers drawn from one global allocator.
+inline constexpr std::uint64_t kSeqBlockSize = 1024;
+
+/// Buffered capture reads the monotonic clock once per this many events
+/// per thread; the events in between share the reading.
+inline constexpr std::uint32_t kTimestampStride = 64;
+
+static_assert(kSeqBlockSize % kTimestampStride == 0,
+              "a seq block must hold whole timestamp groups");
+
+/// One sealed Buffered-capture chunk in its compact form (session.hpp).
+/// Rows store only position, instance, size and op; the rest is derived
+/// from the chunk: row i's seq is `seq_base[i / kSeqBlockSize] +
+/// i % kSeqBlockSize`, its timestamp `time_ns[i / kTimestampStride]` and
+/// its thread `thread`.
+struct CaptureBlock {
+    const std::int64_t* position = nullptr;
+    const InstanceId* instance = nullptr;
+    const std::uint32_t* size = nullptr;
+    const OpKind* op = nullptr;
+    const std::uint64_t* seq_base = nullptr;
+    const std::uint64_t* time_ns = nullptr;
+    std::size_t rows = 0;
+    ThreadId thread = 0;
+
+    [[nodiscard]] std::uint64_t seq(std::size_t i) const noexcept {
+        return seq_base[i / kSeqBlockSize] + i % kSeqBlockSize;
+    }
+
+    /// Rebuild row i as an AccessEvent.
+    [[nodiscard]] AccessEvent row(std::size_t i) const noexcept {
+        AccessEvent ev;
+        ev.seq = seq(i);
+        ev.time_ns = time_ns[i / kTimestampStride];
+        ev.position = position[i];
+        ev.instance = instance[i];
+        ev.size = size[i];
+        ev.op = op[i];
+        ev.thread = thread;
+        return ev;
+    }
+};
 
 /// Half-open range of column rows belonging to one instance.
 struct ColumnRange {
@@ -47,6 +92,11 @@ public:
     /// dropped.
     [[nodiscard]] static ColumnStore group(
         std::span<const std::span<const AccessEvent>> blocks);
+
+    /// The same routine over sealed capture chunks, read row by row in
+    /// block order (capture stop()).
+    [[nodiscard]] static ColumnStore group(
+        std::span<const CaptureBlock> blocks);
 
     /// The same routine over decoded rows: `rows` holds every field column
     /// (its ranges are ignored) and `instances[i]` is row i's instance.

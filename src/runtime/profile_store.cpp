@@ -37,13 +37,6 @@ void ProfileStore::append(std::span<const AccessEvent> events) {
     staged_.insert(staged_.end(), events.begin(), events.end());
 }
 
-void ProfileStore::assign(
-    std::span<const std::span<const AccessEvent>> blocks) {
-    std::scoped_lock lock(mutex_);
-    staged_.clear();
-    columns_ = ColumnStore::group(blocks);
-}
-
 void ProfileStore::finalize() {
     std::scoped_lock lock(mutex_);
     group_locked();

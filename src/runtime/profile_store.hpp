@@ -4,9 +4,9 @@
 // recording the access events at runtime and analyzing them post-mortem"
 // (Section IV).  The ProfileStore is where recorded events land: a
 // thread-safe builder around the ColumnStore, which is the only stored
-// form of the events.  Capture stop() hands it the sealed per-thread
-// chunks, which are grouped into columns in one pass; other producers
-// stage batches with append() and the store groups them on first read.
+// form of the events.  Capture stop() groups the sealed per-thread chunks
+// into columns in one pass and adopts the result; other producers stage
+// batches with append() and the store groups them on first read.
 #pragma once
 
 #include <cstddef>
@@ -42,10 +42,6 @@ public:
     /// appending to a store that was already read regroups its earlier
     /// rows too, ahead of the new ones.
     void append(std::span<const AccessEvent> events);
-
-    /// Replace the contents with the rows of `blocks`, grouped straight
-    /// out of the caller's buffers (capture stop(): the sealed chunks).
-    void assign(std::span<const std::span<const AccessEvent>> blocks);
 
     /// Group the staged events now (reads do it on demand).
     void finalize();

@@ -32,6 +32,7 @@ struct CaptureMetricIds {
     obs::MetricId collector_sleeps;    ///< Idle-backoff timed sleeps.
     obs::MetricId drain_batch;         ///< Histogram of drain batch sizes.
     obs::MetricId pending_hwm;         ///< Ordered-delivery buffer peak.
+    obs::MetricId chunk_bytes;         ///< Buffered-mode chunk memory.
 };
 
 const CaptureMetricIds& capture_metrics() {
@@ -50,6 +51,7 @@ const CaptureMetricIds& capture_metrics() {
             reg.counter("collector.backoff_sleeps"),
             reg.histogram("collector.drain_batch_events"),
             reg.gauge("collector.pending_depth_hwm"),
+            reg.counter("capture.chunk_bytes"),
         };
     }();
     return ids;
@@ -60,11 +62,6 @@ constexpr unsigned kCollectorYieldRounds = 32;
 
 /// Collector backoff: cap the timed sleep (microseconds, power of two).
 constexpr unsigned kCollectorMaxSleepLog2 = 8;  // 256 us
-
-/// Buffered-mode chunk sizing: 4K events (128 KiB) first, doubling to a
-/// 64K-event (2 MiB) steady state.
-constexpr std::size_t kFirstChunkEvents = 4096;
-constexpr std::size_t kMaxChunkEvents = 1u << 16;
 
 std::uint64_t next_session_token() noexcept {
     static std::atomic<std::uint64_t> counter{1};
@@ -91,15 +88,41 @@ ProfilingSession::Channel::Channel(ThreadId id, CaptureMode mode,
     // Buffered mode allocates its first chunk lazily on the first record.
 }
 
+ProfilingSession::Channel::Chunk::Chunk(std::size_t rows)
+    : position(std::make_unique_for_overwrite<std::int64_t[]>(rows)),
+      instance(std::make_unique_for_overwrite<InstanceId[]>(rows)),
+      size(std::make_unique_for_overwrite<std::uint32_t[]>(rows)),
+      op(std::make_unique_for_overwrite<OpKind[]>(rows)),
+      seq_base(std::make_unique_for_overwrite<std::uint64_t[]>(
+          rows / kSeqBlockSize)),
+      time_ns(std::make_unique_for_overwrite<std::uint64_t[]>(
+          rows / kTimestampStride)),
+      capacity(rows) {}
+
 void ProfilingSession::Channel::grow_chunk() {
     const std::size_t cap =
         chunks.empty()
             ? kFirstChunkEvents
             : std::min(chunks.back().capacity * 2, kMaxChunkEvents);
-    chunks.push_back(Chunk{
-        std::make_unique_for_overwrite<AccessEvent[]>(cap), cap});
-    write_pos = chunks.back().events.get();
-    write_end = write_pos + cap;
+    chunks.emplace_back(cap);
+    fill = 0;
+    if (obs::enabled())
+        obs::MetricsRegistry::global().add(capture_metrics().chunk_bytes,
+                                           chunk_bytes(cap));
+}
+
+void ProfilingSession::Channel::append_blocks(
+    std::uint64_t events, std::vector<CaptureBlock>& out) const {
+    for (const Chunk& chunk : chunks) {
+        if (events == 0) break;
+        const std::size_t n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(events, chunk.capacity));
+        out.push_back(CaptureBlock{chunk.position.get(),
+                                   chunk.instance.get(), chunk.size.get(),
+                                   chunk.op.get(), chunk.seq_base.get(),
+                                   chunk.time_ns.get(), n, tid});
+        events -= n;
+    }
 }
 
 ProfilingSession::ProfilingSession(CaptureMode mode, std::size_t ring_capacity,
@@ -189,57 +212,24 @@ void ProfilingSession::record(InstanceId instance, OpKind op,
         return;
     }
 
-    AccessEvent ev;
-    if (chan.next_seq == chan.seq_block_end) {
-        // Telemetry rides the cold refill branch (once per kSeqBlockSize
-        // events); the per-event path stays untouched.  The span parents
-        // under the session creator's context so refills show up inside
-        // the run's tree rather than as orphan roots.
-        DSSPY_TRACE_SPAN_UNDER("capture.seq_refill", trace_ctx_);
-        const std::uint64_t base =
-            seq_alloc_.fetch_add(kSeqBlockSize, std::memory_order_relaxed);
-        chan.next_seq = base;
-        chan.seq_block_end = base + kSeqBlockSize;
-        if (obs::enabled())
-            obs::MetricsRegistry::global().add(
-                capture_metrics().seq_block_refills);
-        // A fresh block also refreshes the timestamp, bounding the skew
-        // between a thread's seq block and its clock readings.
-        chan.last_ts_ns = support::now_ns();
-        chan.ts_countdown = kTimestampStride;
-    }
-    ev.seq = chan.next_seq++;
-    if (chan.ts_countdown == 0) {
-        chan.last_ts_ns = support::now_ns();
-        chan.ts_countdown = kTimestampStride;
-    }
-    --chan.ts_countdown;
-    ev.time_ns = chan.last_ts_ns;
-    ev.position = position;
-    ev.instance = instance;
-    ev.size = size;
-    ev.op = op;
-    ev.thread = chan.tid;
-
     if (mode_ == CaptureMode::Buffered) {
-        if (chan.write_pos == chan.write_end) chan.grow_chunk();
-        *chan.write_pos++ = ev;
+        if (chan.chunks.empty() || chan.fill == chan.chunks.back().capacity)
+            chan.grow_chunk();
+        // Chunk capacities are whole seq blocks, so the row index alone
+        // says when this thread starts a seq block or a timestamp group.
+        Channel::Chunk& chunk = chan.chunks.back();
+        const std::size_t i = chan.fill;
+        if (i % kSeqBlockSize == 0)
+            chunk.seq_base[i / kSeqBlockSize] = claim_seq_block();
+        if (i % kTimestampStride == 0)
+            chunk.time_ns[i / kTimestampStride] = support::now_ns();
+        chunk.position[i] = position;
+        chunk.instance[i] = instance;
+        chunk.size[i] = size;
+        chunk.op[i] = op;
+        chan.fill = i + 1;
     } else {
-        // Blocking backpressure: the mutator waits for the collector rather
-        // than dropping events — profiles must be complete for the pattern
-        // analysis to be meaningful.  Escalate from yield to a short sleep
-        // in case the collector is in its idle backoff.
-        unsigned spins = 0;
-        while (!chan.ring->try_push(ev)) {
-            if (spins == 0 && obs::enabled())
-                obs::MetricsRegistry::global().add(
-                    capture_metrics().backpressure_waits);
-            if (++spins < 64) {
-                std::this_thread::yield();
-            } else {
-                std::this_thread::sleep_for(std::chrono::microseconds(10));
-            }
-        }
+        record_streaming(chan, instance, op, position, size);
     }
     // Release-publish the completed record; stop() acquire-reads this count
     // so every merged event is fully visible (single writer: plain add).
@@ -254,8 +244,57 @@ void ProfilingSession::record(InstanceId instance, OpKind op,
         chan.published.store(chan.next_seq, std::memory_order_release);
 }
 
-std::uint64_t ProfilingSession::now_ns() const noexcept {
-    return support::now_ns();
+std::uint64_t ProfilingSession::claim_seq_block() {
+    // Telemetry rides this cold branch (once per kSeqBlockSize events); the
+    // per-event path stays untouched.  The span parents under the session
+    // creator's context so refills show up inside the run's tree rather
+    // than as orphan roots.
+    DSSPY_TRACE_SPAN_UNDER("capture.seq_refill", trace_ctx_);
+    const std::uint64_t base =
+        seq_alloc_.fetch_add(kSeqBlockSize, std::memory_order_relaxed);
+    if (obs::enabled())
+        obs::MetricsRegistry::global().add(
+            capture_metrics().seq_block_refills);
+    return base;
+}
+
+void ProfilingSession::record_streaming(Channel& chan, InstanceId instance,
+                                        OpKind op, std::int64_t position,
+                                        std::uint32_t size) noexcept {
+    if (chan.next_seq == chan.seq_block_end) {
+        chan.next_seq = claim_seq_block();
+        chan.seq_block_end = chan.next_seq + kSeqBlockSize;
+        // A fresh block also starts a timestamp group.
+        chan.ts_countdown = 0;
+    }
+    if (chan.ts_countdown == 0) {
+        chan.last_ts_ns = support::now_ns();
+        chan.ts_countdown = kTimestampStride;
+    }
+    --chan.ts_countdown;
+    AccessEvent ev;
+    ev.seq = chan.next_seq++;
+    ev.time_ns = chan.last_ts_ns;
+    ev.position = position;
+    ev.instance = instance;
+    ev.size = size;
+    ev.op = op;
+    ev.thread = chan.tid;
+    // Blocking backpressure: the mutator waits for the collector rather
+    // than dropping events — profiles must be complete for the pattern
+    // analysis to be meaningful.  Escalate from yield to a short sleep in
+    // case the collector is in its idle backoff.
+    unsigned spins = 0;
+    while (!chan.ring->try_push(ev)) {
+        if (spins == 0 && obs::enabled())
+            obs::MetricsRegistry::global().add(
+                capture_metrics().backpressure_waits);
+        if (++spins < 64) {
+            std::this_thread::yield();
+        } else {
+            std::this_thread::sleep_for(std::chrono::microseconds(10));
+        }
+    }
 }
 
 void ProfilingSession::collector_loop(const std::stop_token& st) {
@@ -422,28 +461,27 @@ void ProfilingSession::drain_all_rings() {
 /// chunk chains by seq, batched to the sink.  Runs on the stop() caller.
 void ProfilingSession::buffered_merge_to_sink() {
     struct Cursor {
-        Channel* chan;
-        std::size_t chunk = 0;
-        std::size_t offset = 0;
-        std::uint64_t remaining = 0;
+        std::vector<CaptureBlock> blocks;
+        std::size_t block = 0;
+        std::size_t row = 0;
+        [[nodiscard]] std::uint64_t seq() const {
+            return blocks[block].seq(row);
+        }
+        /// Step to the next row; false once the chain is exhausted.
+        bool advance() {
+            if (++row < blocks[block].rows) return true;
+            row = 0;
+            return ++block < blocks.size();
+        }
     };
     std::vector<Cursor> cursors;
     for (Channel* chan = channels_head_.load(std::memory_order_acquire);
          chan != nullptr; chan = chan->next) {
-        const std::uint64_t events =
-            chan->events.load(std::memory_order_acquire);
-        if (events > 0) cursors.push_back(Cursor{chan, 0, 0, events});
+        Cursor c;
+        chan->append_blocks(chan->events.load(std::memory_order_acquire),
+                            c.blocks);
+        if (!c.blocks.empty()) cursors.push_back(std::move(c));
     }
-    const auto front = [](const Cursor& c) -> const AccessEvent& {
-        return c.chan->chunks[c.chunk].events[c.offset];
-    };
-    const auto advance = [](Cursor& c) {
-        --c.remaining;
-        if (++c.offset == c.chan->chunks[c.chunk].capacity) {
-            ++c.chunk;
-            c.offset = 0;
-        }
-    };
     std::vector<AccessEvent> batch;
     batch.reserve(1024);
     while (!cursors.empty()) {
@@ -452,25 +490,26 @@ void ProfilingSession::buffered_merge_to_sink() {
         std::size_t bi = 0;
         std::uint64_t second = std::numeric_limits<std::uint64_t>::max();
         for (std::size_t i = 1; i < cursors.size(); ++i) {
-            const std::uint64_t seq = front(cursors[i]).seq;
-            if (seq < front(cursors[bi]).seq) {
-                second = std::min(second, front(cursors[bi]).seq);
+            const std::uint64_t seq = cursors[i].seq();
+            if (seq < cursors[bi].seq()) {
+                second = std::min(second, cursors[bi].seq());
                 bi = i;
             } else {
                 second = std::min(second, seq);
             }
         }
         Cursor& c = cursors[bi];
-        while (c.remaining > 0 && front(c).seq < second) {
-            batch.push_back(front(c));
-            advance(c);
+        bool live = true;
+        while (live && c.seq() < second) {
+            batch.push_back(c.blocks[c.block].row(c.row));
+            live = c.advance();
             if (batch.size() == batch.capacity()) {
                 sink_(std::span<const AccessEvent>(batch));
                 batch.clear();
             }
         }
-        if (c.remaining == 0) {
-            cursors[bi] = cursors.back();
+        if (!live) {
+            cursors[bi] = std::move(cursors.back());
             cursors.pop_back();
         }
     }
@@ -508,30 +547,22 @@ void ProfilingSession::stop() {
             // Group straight out of the sealed chunks.  The acquire pairs
             // with the release in record(): exactly the events whose
             // writes are fully published are taken.
-            std::vector<std::span<const AccessEvent>> blocks;
+            std::vector<CaptureBlock> blocks;
             for (Channel* chan =
                      channels_head_.load(std::memory_order_acquire);
-                 chan != nullptr; chan = chan->next) {
-                std::uint64_t remaining =
-                    chan->events.load(std::memory_order_acquire);
-                for (const Channel::Chunk& chunk : chan->chunks) {
-                    if (remaining == 0) break;
-                    const std::size_t n = static_cast<std::size_t>(
-                        std::min<std::uint64_t>(remaining, chunk.capacity));
-                    blocks.emplace_back(chunk.events.get(), n);
-                    remaining -= n;
-                }
-            }
-            store_.assign(blocks);
+                 chan != nullptr; chan = chan->next)
+                chan->append_blocks(
+                    chan->events.load(std::memory_order_acquire), blocks);
+            store_ = ProfileStore(ColumnStore::group(blocks));
         }
         // The store now holds every event; the chunks go.
         for (Channel* chan = channels_head_.load(std::memory_order_acquire);
              chan != nullptr; chan = chan->next) {
             chan->chunks.clear();
             chan->chunks.shrink_to_fit();
-            chan->write_pos = chan->write_end = nullptr;
         }
     }
+    stop_end_ns_ = support::now_ns();
 
     if (obs::enabled()) {
         auto& reg = obs::MetricsRegistry::global();

@@ -20,10 +20,22 @@
 //     reconciles them into a deterministic total order that preserves
 //     every thread's program order.
 //   * Timestamps: the clock is read once per `kTimestampStride` events per
-//     thread (and at every block boundary); events in between reuse the
-//     last reading.  Timestamps stay monotonic per thread at stride
-//     granularity — sufficient for the duration-based use-case rules,
-//     ~60x fewer clock reads.
+//     thread; events in between reuse the reading.  Timestamps stay
+//     monotonic per thread at stride granularity — sufficient for the
+//     duration-based use-case rules, 64x fewer clock reads.
+//   * Compact chunks (Buffered mode): a row stores only what the caller
+//     passed — position (8 B), instance (4 B), size (4 B), op (1 B) — in
+//     per-chunk columns.  The chunk adds one seq base per `kSeqBlockSize`
+//     rows and one clock reading per `kTimestampStride` rows: 17.13 B per
+//     event instead of a 32-byte AccessEvent, and each chunk byte costs a
+//     first-touch page fault.  The rest is derived, exactly: chunk
+//     capacities are multiples of kSeqBlockSize, so a seq block and a
+//     timestamp group always start at a row index that is a multiple of
+//     their size; row i's seq is `seq_base[i / kSeqBlockSize] +
+//     i % kSeqBlockSize`, its timestamp `time_ns[i / kTimestampStride]`
+//     and its thread the channel's (CaptureBlock).  The row index alone
+//     decides when record() draws a block or reads the clock.
+//     Streaming mode moves whole AccessEvents through its rings.
 //   * Registration: channels live on a lock-free intrusive list, so thread
 //     registration never stalls the collector and the collector never
 //     blocks producers (the old design drained rings while holding a
@@ -40,6 +52,7 @@
 
 #include "obs/trace.hpp"
 #include "runtime/access_event.hpp"
+#include "runtime/column_store.hpp"
 #include "runtime/instance_registry.hpp"
 #include "runtime/profile_store.hpp"
 #include "runtime/spsc_ring.hpp"
@@ -77,10 +90,30 @@ class ProfilingSession {
 public:
     /// Sequence numbers are handed to threads in blocks of this size; the
     /// global allocator is touched once per block instead of once per event.
-    static constexpr std::uint64_t kSeqBlockSize = 1024;
+    static constexpr std::uint64_t kSeqBlockSize = runtime::kSeqBlockSize;
 
     /// The monotonic clock is read once per this many events per thread.
-    static constexpr std::uint32_t kTimestampStride = 64;
+    static constexpr std::uint32_t kTimestampStride =
+        runtime::kTimestampStride;
+
+    /// Buffered-mode chunk sizing: 4K rows first, doubling to a 64K-row
+    /// steady state.
+    static constexpr std::size_t kFirstChunkEvents = 4096;
+    static constexpr std::size_t kMaxChunkEvents = std::size_t{1} << 16;
+    static_assert(kFirstChunkEvents % kSeqBlockSize == 0 &&
+                      kMaxChunkEvents % kSeqBlockSize == 0,
+                  "a chunk must hold whole seq blocks");
+
+    /// Bytes a Buffered-mode chunk of `rows` rows allocates: 17 per row,
+    /// plus one seq base per seq block and one clock reading per
+    /// timestamp group.
+    [[nodiscard]] static constexpr std::size_t chunk_bytes(
+        std::size_t rows) noexcept {
+        return rows * (sizeof(std::int64_t) + sizeof(InstanceId) +
+                       sizeof(std::uint32_t) + sizeof(OpKind)) +
+               rows / kSeqBlockSize * sizeof(std::uint64_t) +
+               rows / kTimestampStride * sizeof(std::uint64_t);
+    }
 
     /// Batch consumer for captured events; see set_event_sink().
     using EventSink = std::function<void(std::span<const AccessEvent>)>;
@@ -155,6 +188,12 @@ public:
     /// (start of session to stop()).
     [[nodiscard]] std::uint64_t capture_duration_ns() const noexcept;
 
+    /// Wall-clock duration of stop() itself in nanoseconds (drain, merge
+    /// and grouping into columns); 0 before stop().
+    [[nodiscard]] std::uint64_t stop_duration_ns() const noexcept {
+        return stop_end_ns_ - stop_ns_;
+    }
+
     /// Events stored against instance ids the registry never issued
     /// (store-only "orphans"; see ProfileStore::orphan_events).  Exact
     /// after stop().
@@ -167,22 +206,30 @@ private:
         ThreadId tid;
 
         /// Buffered mode: events land in a chain of fixed chunks (cap
-        /// doubling up to kMaxChunkEvents).  Unlike a growable vector this
-        /// never copies on growth — at millions of events the reallocation
-        /// memcpy dominates the capture cost — and chunks are allocated
-        /// uninitialized so each page is touched exactly once.
+        /// doubling up to kMaxChunkEvents) in the compact form described
+        /// in the file comment.  Unlike a growable vector this never
+        /// copies on growth, and chunks are allocated uninitialized so
+        /// each page is touched exactly once.
         struct Chunk {
-            std::unique_ptr<AccessEvent[]> events;
+            explicit Chunk(std::size_t rows);
+            std::unique_ptr<std::int64_t[]> position;
+            std::unique_ptr<InstanceId[]> instance;
+            std::unique_ptr<std::uint32_t[]> size;
+            std::unique_ptr<OpKind[]> op;
+            std::unique_ptr<std::uint64_t[]> seq_base;  ///< Per seq block.
+            std::unique_ptr<std::uint64_t[]> time_ns;   ///< Per ts group.
             std::size_t capacity = 0;
         };
-        std::vector<Chunk> chunks;                    // Buffered mode
-        AccessEvent* write_pos = nullptr;             ///< Next free slot.
-        AccessEvent* write_end = nullptr;             ///< Chunk end.
+        std::vector<Chunk> chunks;  // Buffered mode
+        std::size_t fill = 0;       ///< Rows written to chunks.back().
         void grow_chunk();
+        /// The sealed chain's first `events` rows, chunk by chunk.
+        void append_blocks(std::uint64_t events,
+                           std::vector<CaptureBlock>& out) const;
 
         std::unique_ptr<SpscRing<AccessEvent>> ring;  // Streaming mode
 
-        // Hot-path state, touched only by the owning thread.
+        // Streaming hot-path state, touched only by the owning thread.
         std::uint64_t next_seq = 0;       ///< Next seq in the current block.
         std::uint64_t seq_block_end = 0;  ///< Exclusive end of the block.
         std::uint64_t last_ts_ns = 0;     ///< Most recent clock reading.
@@ -211,7 +258,9 @@ private:
     bool collect_ordered_round();
     void deliver_ordered(bool final_flush);
     void buffered_merge_to_sink();
-    [[nodiscard]] std::uint64_t now_ns() const noexcept;
+    void record_streaming(Channel& chan, InstanceId instance, OpKind op,
+                          std::int64_t position, std::uint32_t size) noexcept;
+    [[nodiscard]] std::uint64_t claim_seq_block();
 
     const CaptureMode mode_;
     const std::size_t ring_capacity_;
@@ -229,7 +278,8 @@ private:
     std::atomic<std::uint32_t> next_tid_{0};
     std::atomic<bool> capturing_{true};
     std::uint64_t start_ns_ = 0;
-    std::uint64_t stop_ns_ = 0;
+    std::uint64_t stop_ns_ = 0;      ///< When stop() began.
+    std::uint64_t stop_end_ns_ = 0;  ///< When stop() returned.
 
     /// Head of the intrusive channel list (push-front on registration;
     /// traversal needs no lock).  Channels are owned by the list and freed

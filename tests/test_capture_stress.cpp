@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <set>
 #include <span>
@@ -274,6 +275,205 @@ TEST(CaptureStress, BufferedQuiesceHandshakeMergesEverything) {
     // sealed, so the record is silently ignored).
     EXPECT_EQ(session.events_recorded(),
               static_cast<std::uint64_t>(kThreads) * kPerThread);
+}
+
+// The compact chunk stream of the round-trip tests: 4096 + 8192 + 1500
+// events fill the first two chunks exactly and end inside the third, in a
+// partial seq block (1500 = 1024 + 476) and a partial timestamp group
+// (1500 = 23 * 64 + 28).  Event k of a thread goes to instance k % 3 with
+// an op, position and size that k determines.
+constexpr std::size_t kCompactEvents = 4096 + 8192 + 1500;
+constexpr std::array<OpKind, 5> kCompactOps = {
+    OpKind::Add, OpKind::Get, OpKind::Set, OpKind::InsertAt,
+    OpKind::RemoveAt};
+
+struct CompactRow {
+    OpKind op;
+    std::int64_t position;
+    std::uint32_t size;
+};
+
+CompactRow compact_row(std::size_t thread, std::size_t k) {
+    return CompactRow{kCompactOps[k % kCompactOps.size()],
+                      static_cast<std::int64_t>(thread * 1'000'000 + k),
+                      static_cast<std::uint32_t>(k * 7 % 1000 + 1)};
+}
+
+std::array<InstanceId, 3> register_compact_instances(
+    ProfilingSession& session) {
+    std::array<InstanceId, 3> ids{};
+    for (std::uint32_t i = 0; i < ids.size(); ++i)
+        ids[i] = session.register_instance(DsKind::List, "List<Int64>",
+                                           {"Compact", "M", i});
+    return ids;
+}
+
+void record_compact_stream(ProfilingSession& session,
+                           const std::array<InstanceId, 3>& ids,
+                           std::size_t thread) {
+    for (std::size_t k = 0; k < kCompactEvents; ++k) {
+        const CompactRow row = compact_row(thread, k);
+        session.record(ids[k % ids.size()], row.op, row.position, row.size);
+    }
+}
+
+/// Every delivered event grouped by instance, seq order within each.
+std::vector<std::vector<AccessEvent>> group_delivered(
+    const std::vector<AccessEvent>& delivered, std::size_t instances) {
+    std::vector<std::vector<AccessEvent>> out(instances);
+    for (const AccessEvent& ev : delivered) out.at(ev.instance).push_back(ev);
+    return out;
+}
+
+// Buffered chunks store only position, instance, size and op per row; seq,
+// timestamp and thread are rebuilt from the chunk at stop().  One thread's
+// stream crosses two chunk boundaries and ends in a partial seq block and
+// a partial timestamp group; every field must come back, with the seq and
+// timestamp structure the capture path promises, and the event sink (a
+// separate read of the same chunks) must deliver exactly the store's rows.
+TEST(CaptureStress, CompactChunksRoundTripAcrossBoundaries) {
+    // Past the first two chunks (4K rows, then 8K rows).
+    static_assert(kCompactEvents > ProfilingSession::kFirstChunkEvents * 3);
+    static_assert(kCompactEvents % ProfilingSession::kSeqBlockSize != 0);
+    static_assert(kCompactEvents % ProfilingSession::kTimestampStride != 0);
+
+    ProfilingSession session(CaptureMode::Buffered);
+    std::vector<AccessEvent> delivered;
+    session.set_event_sink([&delivered](std::span<const AccessEvent> ev) {
+        delivered.insert(delivered.end(), ev.begin(), ev.end());
+    });
+    const std::array<InstanceId, 3> ids = register_compact_instances(session);
+    record_compact_stream(session, ids, 0);
+    session.stop();
+    ASSERT_EQ(session.events_recorded(), kCompactEvents);
+
+    // Columns round-trip every field; rebuild the stream in record order
+    // (the position carries k) to audit the derived seqs and timestamps.
+    std::vector<AccessEvent> stream(kCompactEvents);
+    const ColumnStore& columns = session.store().columns();
+    ASSERT_EQ(columns.total_events(), kCompactEvents);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        const ColumnRange range = columns.range(ids[i]);
+        std::size_t k = i;
+        ASSERT_EQ(range.size(), (kCompactEvents - i + 2) / 3);
+        for (std::size_t r = range.begin; r < range.end; ++r, k += 3) {
+            const CompactRow want = compact_row(0, k);
+            AccessEvent got = columns.row(r);
+            ASSERT_EQ(got.op, want.op) << "row " << r;
+            ASSERT_EQ(got.position, want.position) << "row " << r;
+            ASSERT_EQ(got.size, want.size) << "row " << r;
+            ASSERT_EQ(got.thread, 0u) << "row " << r;
+            got.instance = ids[i];
+            stream[k] = got;
+        }
+    }
+    std::set<std::uint64_t> readings;
+    for (const AccessEvent& ev : stream) readings.insert(ev.time_ns);
+    // One clock reading per 64-row group, not per seq block: the readings
+    // (about 1 us apart) far outnumber the 14 seq blocks.
+    EXPECT_GT(readings.size(), 2 * (kCompactEvents / 1024 + 1));
+    for (std::size_t k = 1; k < kCompactEvents; ++k) {
+        const std::uint64_t block = ProfilingSession::kSeqBlockSize;
+        if (k % block != 0) {
+            ASSERT_EQ(stream[k].seq, stream[k - 1].seq + 1) << "event " << k;
+        } else {
+            ASSERT_GT(stream[k].seq, stream[k - 1].seq) << "event " << k;
+        }
+        if (k % ProfilingSession::kTimestampStride != 0) {
+            ASSERT_EQ(stream[k].time_ns, stream[k - 1].time_ns)
+                << "event " << k;
+        } else {
+            ASSERT_GE(stream[k].time_ns, stream[k - 1].time_ns)
+                << "event " << k;
+        }
+    }
+
+    // The sink's merge reads the same chunks row by row: per instance it
+    // delivers exactly the store's rows.
+    ASSERT_EQ(delivered.size(), kCompactEvents);
+    const auto by_instance = group_delivered(delivered, ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        const ColumnRange range = columns.range(ids[i]);
+        ASSERT_EQ(by_instance[i].size(), range.size());
+        for (std::size_t j = 0; j < range.size(); ++j) {
+            AccessEvent want = columns.row(range.begin + j);
+            want.instance = ids[i];
+            ASSERT_EQ(by_instance[i][j], want) << "instance " << i;
+        }
+    }
+
+    // The incremental path (a sink, no store) delivers the same rows; only
+    // the clock readings differ between the two sessions.
+    ProfilingSession incremental(CaptureMode::Buffered, 64 * 1024,
+                                 AnalysisMode::Incremental);
+    std::vector<AccessEvent> streamed;
+    incremental.set_event_sink([&streamed](std::span<const AccessEvent> ev) {
+        streamed.insert(streamed.end(), ev.begin(), ev.end());
+    });
+    record_compact_stream(incremental, register_compact_instances(incremental),
+                          0);
+    incremental.stop();
+    EXPECT_EQ(incremental.store().total_events(), 0u);
+    ASSERT_EQ(streamed.size(), kCompactEvents);
+    const auto streamed_by_instance = group_delivered(streamed, ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        ASSERT_EQ(streamed_by_instance[i].size(), by_instance[i].size());
+        for (std::size_t j = 0; j < by_instance[i].size(); ++j) {
+            AccessEvent got = streamed_by_instance[i][j];
+            got.time_ns = by_instance[i][j].time_ns;
+            ASSERT_EQ(got, by_instance[i][j]) << "instance " << i;
+        }
+    }
+}
+
+// Four threads each record the compact stream into the same three
+// instances: every event arrives, and each thread's events keep their
+// program order within every instance and carry one thread id.
+TEST(CaptureStress, CompactChunksFourThreadsKeepProgramOrder) {
+    constexpr std::size_t kThreads = 4;
+    ProfilingSession session(CaptureMode::Buffered);
+    const std::array<InstanceId, 3> ids = register_compact_instances(session);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t)
+        threads.emplace_back(
+            [&session, &ids, t] { record_compact_stream(session, ids, t); });
+    for (auto& th : threads) th.join();
+    session.stop();
+    ASSERT_EQ(session.events_recorded(), kThreads * kCompactEvents);
+    ASSERT_EQ(session.thread_count(), kThreads);
+
+    const ColumnStore& columns = session.store().columns();
+    ASSERT_EQ(columns.total_events(), kThreads * kCompactEvents);
+    std::set<std::uint16_t> thread_ids;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        const ColumnRange range = columns.range(ids[i]);
+        ASSERT_EQ(range.size(), kThreads * ((kCompactEvents - i + 2) / 3));
+        std::array<std::size_t, kThreads> next_k;
+        next_k.fill(i);
+        std::array<int, kThreads> tid;
+        tid.fill(-1);
+        for (std::size_t r = range.begin; r < range.end; ++r) {
+            const AccessEvent ev = columns.row(r);
+            if (r > range.begin) {
+                ASSERT_LT(columns.row(r - 1).seq, ev.seq) << "row " << r;
+            }
+            const auto t = static_cast<std::size_t>(ev.position / 1'000'000);
+            ASSERT_LT(t, kThreads);
+            const CompactRow want = compact_row(t, next_k[t]);
+            ASSERT_EQ(ev.position, want.position)
+                << "thread " << t << " reordered against itself";
+            ASSERT_EQ(ev.op, want.op);
+            ASSERT_EQ(ev.size, want.size);
+            if (tid[t] < 0) tid[t] = ev.thread;
+            ASSERT_EQ(ev.thread, tid[t]);
+            next_k[t] += 3;
+        }
+        for (std::size_t t = 0; t < kThreads; ++t) {
+            EXPECT_GE(next_k[t], kCompactEvents);
+            thread_ids.insert(static_cast<std::uint16_t>(tid[t]));
+        }
+    }
+    EXPECT_EQ(thread_ids.size(), kThreads);
 }
 
 }  // namespace

@@ -290,9 +290,14 @@ TEST(ObsSpan, MacroTimesScopeIntoGlobalHistogram) {
 
 TEST(ObsSelfOverhead, EstimateIsSaneAndClamped) {
     const SelfOverhead est = estimate_self_overhead(
-        100000, 10'000'000,
-        runtime::ProfilingSession::kTimestampStride);
+        100000, 10'000'000, 2'000'000,
+        runtime::ProfilingSession::kTimestampStride,
+        runtime::ProfilingSession::kMaxChunkEvents);
     EXPECT_EQ(est.events, 100000u);
+    EXPECT_EQ(est.stop_ns, 2'000'000u);
+    // The measured stop() time is part of the capture cost.
+    EXPECT_DOUBLE_EQ(est.capture_cost_ns,
+                     100000 * est.amortized_ns_per_event + 2'000'000);
     EXPECT_GT(est.instrumented_ns_per_event, 0.0);
     EXPECT_GT(est.amortized_ns_per_event, 0.0);
     EXPECT_GE(est.overhead_fraction, 0.0);
@@ -302,8 +307,36 @@ TEST(ObsSelfOverhead, EstimateIsSaneAndClamped) {
     EXPECT_LT(est.amortized_ns_per_event,
               est.instrumented_ns_per_event * 1.5);
 
-    const SelfOverhead zero = estimate_self_overhead(0, 10'000'000, 64);
+    const SelfOverhead zero =
+        estimate_self_overhead(0, 10'000'000, 0, 64, 1024);
     EXPECT_DOUBLE_EQ(zero.estimated_slowdown, 1.0);
+}
+
+// capture.chunk_bytes counts the Buffered chunk memory capture allocates:
+// 4096 + 8192 + 1 events fill two chunks and open a third (4K, 8K and
+// 16K rows), each costing chunk_bytes(rows).
+TEST(ObsCapture, ChunkBytesCountsAllocatedChunkCapacity) {
+    const GlobalTelemetryGuard guard;
+    using runtime::ProfilingSession;
+    constexpr std::size_t kFirst = ProfilingSession::kFirstChunkEvents;
+    {
+        ProfilingSession session(runtime::CaptureMode::Buffered);
+        for (std::size_t i = 0; i < kFirst + 2 * kFirst + 1; ++i)
+            session.record(0, runtime::OpKind::Add,
+                           static_cast<std::int64_t>(i), 1);
+        session.stop();
+    }
+    const std::vector<MetricValue> metrics =
+        MetricsRegistry::global().collect();
+    const MetricValue* m = find_metric(metrics, "capture.chunk_bytes");
+    ASSERT_NE(m, nullptr);
+    EXPECT_EQ(m->kind, MetricKind::Counter);
+    const std::size_t rows = kFirst + 2 * kFirst + 4 * kFirst;
+    EXPECT_EQ(m->value, ProfilingSession::chunk_bytes(rows));
+    // 17 bytes per row plus one 8-byte seq base per 1024 rows and one
+    // 8-byte clock reading per 64 rows.
+    EXPECT_EQ(ProfilingSession::chunk_bytes(rows),
+              rows * 17 + rows / 1024 * 8 + rows / 64 * 8);
 }
 
 TEST(ObsOrphans, StoreCountsEventsPastTheRegisteredRange) {
