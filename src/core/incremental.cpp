@@ -114,7 +114,7 @@ void IncrementalAnalyzer::fold(const runtime::AccessEvent& ev) {
         obs::MetricsRegistry::global().add(
             incremental_metrics().events_folded);
     const std::lock_guard<std::mutex> lock(mutex_);
-    fold_locked(ev);
+    fold_run(state_for(ev.instance), std::span(&ev, 1));
 }
 
 void IncrementalAnalyzer::fold(
@@ -126,7 +126,16 @@ void IncrementalAnalyzer::fold(
         reg.observe(m.fold_batch, events.size());
     }
     const std::lock_guard<std::mutex> lock(mutex_);
-    for (const runtime::AccessEvent& ev : events) fold_locked(ev);
+    // Split the batch into maximal runs of one instance: a capture batch
+    // holds long stretches of one thread's accesses to one container.
+    std::size_t begin = 0;
+    while (begin < events.size()) {
+        const runtime::InstanceId id = events[begin].instance;
+        std::size_t end = begin + 1;
+        while (end < events.size() && events[end].instance == id) ++end;
+        fold_run(state_for(id), events.subspan(begin, end - begin));
+        begin = end;
+    }
 }
 
 std::uint64_t IncrementalAnalyzer::events_folded() const {
@@ -134,53 +143,72 @@ std::uint64_t IncrementalAnalyzer::events_folded() const {
     return events_folded_;
 }
 
-void IncrementalAnalyzer::fold_locked(const runtime::AccessEvent& ev) {
-    ++events_folded_;
-    State& st = state_for(ev.instance);
-    const std::uint32_t index = st.next_index++;
-    const AccessType type = derive_access_type(ev.op);
+void IncrementalAnalyzer::fold_run(
+    State& st, std::span<const runtime::AccessEvent> run) {
+    // Per-run work: the thread list is searched only when the thread
+    // changes, and the fields that keep the last event's value are set
+    // once.  Nothing in the per-event step below reads them.
+    events_folded_ += run.size();
+    if (st.next_index == 0) st.first_ns = run.front().time_ns;
+    const auto note_thread = [&st](runtime::ThreadId thread) {
+        if (std::find(st.threads.begin(), st.threads.end(), thread) ==
+            st.threads.end())
+            st.threads.push_back(thread);
+    };
+    runtime::ThreadId thread = run.front().thread;
+    note_thread(thread);
 
-    ++st.counts[static_cast<std::size_t>(type)];
-    st.max_size = std::max(st.max_size, static_cast<std::size_t>(ev.size));
-    if (std::find(st.threads.begin(), st.threads.end(), ev.thread) ==
-        st.threads.end())
-        st.threads.push_back(ev.thread);
-    if (index == 0) st.first_ns = ev.time_ns;
-    st.last_ns = ev.time_ns;
+    for (const runtime::AccessEvent& ev : run) {
+        if (ev.thread != thread) {
+            thread = ev.thread;
+            note_thread(thread);
+        }
+        const std::uint32_t index = st.next_index++;
+        const AccessType type = derive_access_type(ev.op);
 
-    // Tail phase: a phase is a maximal run of one derived access type over
-    // the instance's whole (cross-thread) event sequence.
-    if (index == 0 || type != st.tail_type) {
-        st.tail_type = type;
-        st.tail_length = 1;
-    } else {
-        ++st.tail_length;
+        ++st.counts[static_cast<std::size_t>(type)];
+        st.max_size =
+            std::max(st.max_size, static_cast<std::size_t>(ev.size));
+
+        // Tail phase: a phase is a maximal run of one derived access type
+        // over the instance's whole (cross-thread) event sequence.
+        if (index == 0 || type != st.tail_type) {
+            st.tail_type = type;
+            st.tail_length = 1;
+        } else {
+            ++st.tail_length;
+        }
+
+        const double weight = type == AccessType::ForAll && ev.size > 0
+                                  ? static_cast<double>(ev.size)
+                                  : 1.0;
+        st.weighted_total += weight;
+        if (is_read_like(type)) st.weighted_reads += weight;
+        if (ev.op == runtime::OpKind::Resize) ++st.resizes;
+        accumulate_end_traffic(st.iq_traffic, type, ev.position, ev.size,
+                               config_.iq_end_window);
+        accumulate_end_traffic(st.edge_traffic, type, ev.position, ev.size,
+                               1);
+
+        // Expire closed SAI candidates that left the gap window.
+        // Per-thread last-indices grow monotonically across flushes, so
+        // once the front survives, everything that could expire behind it
+        // already has.
+        while (!st.sai_closed.empty() &&
+               st.sai_closed.front().last + config_.sai_max_gap_events <
+                   index)
+            st.sai_closed.pop_front();
+
+        st.machine.step(index, ev, type,
+                        [this, &st](const Pattern& p, std::uint64_t first_ns,
+                                    std::uint64_t last_ns) {
+                            absorb_pattern(st, p, first_ns, last_ns);
+                        });
+
+        if (type == AccessType::Sort) on_sort(st, index);
     }
-    st.tail_last_size = ev.size;
-
-    const double weight = type == AccessType::ForAll && ev.size > 0
-                              ? static_cast<double>(ev.size)
-                              : 1.0;
-    st.weighted_total += weight;
-    if (is_read_like(type)) st.weighted_reads += weight;
-    if (ev.op == runtime::OpKind::Resize) ++st.resizes;
-    accumulate_end_traffic(st.iq_traffic, ev, config_.iq_end_window);
-    accumulate_end_traffic(st.edge_traffic, ev, 1);
-
-    // Expire closed SAI candidates that left the gap window.  Per-thread
-    // last-indices grow monotonically across flushes, so once the front
-    // survives, everything that could expire behind it already has.
-    while (!st.sai_closed.empty() &&
-           st.sai_closed.front().last + config_.sai_max_gap_events < index)
-        st.sai_closed.pop_front();
-
-    st.machine.step(index, ev,
-                    [this, &st](const Pattern& p, std::uint64_t first_ns,
-                                std::uint64_t last_ns) {
-                        absorb_pattern(st, p, first_ns, last_ns);
-                    });
-
-    if (type == AccessType::Sort) on_sort(st, index);
+    st.last_ns = run.back().time_ns;
+    st.tail_last_size = run.back().size;
 }
 
 void IncrementalAnalyzer::absorb_pattern(State& st, const Pattern& p,

@@ -208,7 +208,9 @@ private:
     };
 
     State& state_for(runtime::InstanceId id);
-    void fold_locked(const runtime::AccessEvent& ev);
+    /// Fold a non-empty run of consecutive events of one instance (the
+    /// caller holds the mutex).
+    void fold_run(State& st, std::span<const runtime::AccessEvent> run);
     void absorb_pattern(State& st, const Pattern& p, std::uint64_t first_ns,
                         std::uint64_t last_ns) const;
     void on_sort(State& st, std::uint32_t index);

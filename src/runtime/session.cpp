@@ -459,61 +459,78 @@ void ProfilingSession::drain_all_rings() {
 
 /// Buffered-mode ordered delivery: k-way merge of the sealed per-thread
 /// chunk chains by seq, batched to the sink.  Runs on the stop() caller.
+/// Seqs are consecutive within a seq block and chunks hold whole blocks,
+/// so the merge moves a block at a time, never comparing per row.
 void ProfilingSession::buffered_merge_to_sink() {
+    // Every channel's chunk chain, one after another; a cursor walks its
+    // channel's blocks [block, end).
+    std::vector<CaptureBlock> blocks;
     struct Cursor {
-        std::vector<CaptureBlock> blocks;
-        std::size_t block = 0;
-        std::size_t row = 0;
-        [[nodiscard]] std::uint64_t seq() const {
-            return blocks[block].seq(row);
-        }
-        /// Step to the next row; false once the chain is exhausted.
-        bool advance() {
-            if (++row < blocks[block].rows) return true;
-            row = 0;
-            return ++block < blocks.size();
-        }
+        std::size_t block;
+        std::size_t end;
+        std::size_t row;
     };
     std::vector<Cursor> cursors;
     for (Channel* chan = channels_head_.load(std::memory_order_acquire);
          chan != nullptr; chan = chan->next) {
-        Cursor c;
+        const std::size_t first = blocks.size();
         chan->append_blocks(chan->events.load(std::memory_order_acquire),
-                            c.blocks);
-        if (!c.blocks.empty()) cursors.push_back(std::move(c));
+                            blocks);
+        if (blocks.size() > first)
+            cursors.push_back(Cursor{first, blocks.size(), 0});
     }
-    std::vector<AccessEvent> batch;
-    batch.reserve(1024);
+    const auto seq = [&blocks](const Cursor& c) {
+        return blocks[c.block].seq(c.row);
+    };
+    std::array<AccessEvent, kSeqBlockSize> batch;
+    std::size_t filled = 0;
     while (!cursors.empty()) {
         // Pick the channel holding the globally smallest seq and stream it
         // until the runner-up channel's seq takes over.
         std::size_t bi = 0;
         std::uint64_t second = std::numeric_limits<std::uint64_t>::max();
         for (std::size_t i = 1; i < cursors.size(); ++i) {
-            const std::uint64_t seq = cursors[i].seq();
-            if (seq < cursors[bi].seq()) {
-                second = std::min(second, cursors[bi].seq());
+            const std::uint64_t s = seq(cursors[i]);
+            if (s < seq(cursors[bi])) {
+                second = std::min(second, seq(cursors[bi]));
                 bi = i;
             } else {
-                second = std::min(second, seq);
+                second = std::min(second, s);
             }
         }
         Cursor& c = cursors[bi];
         bool live = true;
-        while (live && c.seq() < second) {
-            batch.push_back(c.blocks[c.block].row(c.row));
-            live = c.advance();
-            if (batch.size() == batch.capacity()) {
-                sink_(std::span<const AccessEvent>(batch));
-                batch.clear();
+        // Seq blocks are disjoint, so the channel holding the smallest seq
+        // holds its whole current block below every other channel's seq.
+        // It hands over block by block, each block's rows copied in one
+        // loop, until the runner-up's seq is the smaller one.
+        while (live && seq(c) < second) {
+            const CaptureBlock& b = blocks[c.block];
+            const std::size_t rows =
+                std::min<std::size_t>(kSeqBlockSize, b.rows - c.row);
+            for (std::size_t k = 0; k < rows;) {
+                const std::size_t n =
+                    std::min(rows - k, batch.size() - filled);
+                for (std::size_t r = c.row + k, e = r + n; r < e; ++r)
+                    batch[filled++] = b.row(r);
+                k += n;
+                if (filled == batch.size()) {
+                    sink_(std::span<const AccessEvent>(batch));
+                    filled = 0;
+                }
+            }
+            c.row += rows;
+            if (c.row == b.rows) {
+                c.row = 0;
+                live = ++c.block < c.end;
             }
         }
         if (!live) {
-            cursors[bi] = std::move(cursors.back());
+            cursors[bi] = cursors.back();
             cursors.pop_back();
         }
     }
-    if (!batch.empty()) sink_(std::span<const AccessEvent>(batch));
+    if (filled > 0) sink_(std::span<const AccessEvent>(batch.data(), filled));
 }
 
 void ProfilingSession::stop() {
@@ -536,8 +553,10 @@ void ProfilingSession::stop() {
         for (Channel* chan = channels_head_.load(std::memory_order_acquire);
              chan != nullptr; chan = chan->next)
             chan->sealed.store(true, std::memory_order_release);
-        if (has_sink_.load(std::memory_order_acquire))
+        if (has_sink_.load(std::memory_order_acquire)) {
+            DSSPY_TRACE_SPAN("capture.merge");
             buffered_merge_to_sink();
+        }
     }
     {
         DSSPY_TRACE_SPAN("capture.finalize");

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <set>
 #include <span>
@@ -165,7 +166,11 @@ TEST(CaptureStress, AmortizedTimestampsAreMonotonicAndAdvance) {
 // and is the oracle.
 TEST(CaptureStress, StopGroupsColumnsInSeqOrderInBothModes) {
     constexpr int kThreads = 4;
-    constexpr int kPerThread = 2 * 1024 + 77;
+    constexpr int kPerThread = 5 * 1024 + 77;
+    // Threads take turns in stretches that do not align with seq blocks,
+    // so each thread's blocks interleave with the others' in seq space and
+    // an ordered merge must switch channels inside every chunk chain.
+    constexpr int kTurn = 700;
     for (const CaptureMode mode :
          {CaptureMode::Buffered, CaptureMode::Streaming}) {
         ProfilingSession session(mode, /*ring_capacity=*/512);
@@ -180,19 +185,35 @@ TEST(CaptureStress, StopGroupsColumnsInSeqOrderInBothModes) {
             own.push_back(session.register_instance(
                 DsKind::List, "List<Int64>",
                 {"Group", "Own", static_cast<std::uint32_t>(t)}));
+        std::atomic<int> turn{0};
         std::vector<std::thread> threads;
         for (int t = 0; t < kThreads; ++t) {
-            threads.emplace_back([&session, shared, &own, t] {
-                for (int i = 0; i < kPerThread; ++i) {
-                    session.record(shared, OpKind::Add, t * 100'000LL + i, 1);
-                    if (i % 3 == 0)
-                        session.record(own[static_cast<std::size_t>(t)],
-                                       OpKind::Get, i, 2);
+            threads.emplace_back([&session, shared, &own, &turn, t] {
+                for (int begin = 0; begin < kPerThread; begin += kTurn) {
+                    while (turn.load(std::memory_order_acquire) !=
+                           begin / kTurn * kThreads + t)
+                        std::this_thread::yield();
+                    const int end = std::min(begin + kTurn, int{kPerThread});
+                    for (int i = begin; i < end; ++i) {
+                        session.record(shared, OpKind::Add,
+                                       t * 100'000LL + i, 1);
+                        if (i % 3 == 0)
+                            session.record(own[static_cast<std::size_t>(t)],
+                                           OpKind::Get, i, 2);
+                    }
+                    turn.fetch_add(1, std::memory_order_release);
                 }
             });
         }
         for (auto& th : threads) th.join();
         session.stop();
+
+        // The sink contract: ascending global seq order, across chunk
+        // ends, seq blocks and the partly filled final blocks.
+        for (std::size_t i = 1; i < delivered.size(); ++i)
+            ASSERT_LT(delivered[i - 1].seq, delivered[i].seq)
+                << (mode == CaptureMode::Buffered ? "buffered" : "streaming")
+                << " delivery " << i;
 
         std::stable_sort(delivered.begin(), delivered.end(),
                          [](const AccessEvent& a, const AccessEvent& b) {

@@ -10,9 +10,11 @@
 // carry, malformed-input parity with the slurping reader).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -97,19 +99,48 @@ void expect_reports_equal(const AnalysisResult& pm, const StreamReport& sr) {
     EXPECT_EQ(report_text(pm), report_text(sr));
 }
 
-/// Replay a stopped session's store through an IncrementalAnalyzer
-/// (per-instance seq order, the documented fold contract) and diff the
-/// result against the post-mortem analysis.
+/// Replay a stopped session's store through an IncrementalAnalyzer and
+/// diff the result against the post-mortem analysis: once one instance
+/// per batch, then as the whole session in global seq order (the order a
+/// live session delivers) cut into batches of 1, 7 and 1000 events, so
+/// instances interleave within a batch and their runs split at batch
+/// edges and across threads.
 void expect_equivalent(const ProfilingSession& session,
                        const DetectorConfig& config = {}) {
     const AnalysisResult pm = Dsspy{config}.analyze(session);
     const std::vector<InstanceInfo> instances = session.registry().snapshot();
-    IncrementalAnalyzer inc(config);
-    for (const InstanceInfo& info : instances) inc.declare_instance(info);
-    for (const InstanceInfo& info : instances)
-        inc.fold(session.store().events(info.id));
-    const StreamReport sr = inc.finish(instances);
-    expect_reports_equal(pm, sr);
+    {
+        IncrementalAnalyzer inc(config);
+        for (const InstanceInfo& info : instances) inc.declare_instance(info);
+        for (const InstanceInfo& info : instances)
+            inc.fold(session.store().events(info.id));
+        const StreamReport sr = inc.finish(instances);
+        expect_reports_equal(pm, sr);
+    }
+
+    std::vector<AccessEvent> global;
+    for (const InstanceInfo& info : instances) {
+        const std::vector<AccessEvent> events =
+            session.store().events(info.id);
+        global.insert(global.end(), events.begin(), events.end());
+    }
+    // Stable: equal seqs keep each instance's own order.
+    std::stable_sort(global.begin(), global.end(),
+                     [](const AccessEvent& a, const AccessEvent& b) {
+                         return a.seq < b.seq;
+                     });
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{1000}}) {
+        SCOPED_TRACE("global seq order, batches of " + std::to_string(batch));
+        IncrementalAnalyzer inc(config);
+        for (const InstanceInfo& info : instances) inc.declare_instance(info);
+        for (std::size_t i = 0; i < global.size(); i += batch)
+            inc.fold(std::span(global).subspan(
+                i, std::min(batch, global.size() - i)));
+        EXPECT_EQ(inc.events_folded(), global.size());
+        const StreamReport sr = inc.finish(instances);
+        expect_reports_equal(pm, sr);
+    }
 }
 
 bool has_kind(const AnalysisResult& result, UseCaseKind kind) {

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -120,6 +121,40 @@ TEST(TraceSpans, NestedScopedSpansLinkParentAndRoot) {
     EXPECT_GE(inner->start_ns, outer->start_ns);
     EXPECT_LE(inner->end_ns, outer->end_ns);
     EXPECT_EQ(obs::TraceRecorder::global().spans_recorded(), 2u);
+}
+
+// A Buffered stop() with an event sink splits into the ordered merge
+// (which runs the sink) and the chunk release, both inside capture.stop.
+TEST(TraceSpans, BufferedStopSpansMergeAndFinalizeInsideStop) {
+    GlobalTraceGuard guard;
+    std::size_t delivered = 0;
+    {
+        runtime::ProfilingSession session(runtime::CaptureMode::Buffered,
+                                          1024,
+                                          runtime::AnalysisMode::Incremental);
+        session.set_event_sink(
+            [&delivered](std::span<const runtime::AccessEvent> events) {
+                delivered += events.size();
+            });
+        const runtime::InstanceId id = session.register_instance(
+            runtime::DsKind::List, "List<int>", {"Spans", "Merge", 1});
+        for (std::uint32_t i = 0; i < 3000; ++i)
+            session.record(id, runtime::OpKind::Add, i, i + 1);
+        session.stop();
+    }
+    EXPECT_EQ(delivered, 3000u);
+
+    const std::vector<obs::SpanRecord> spans =
+        obs::TraceRecorder::global().snapshot();
+    const obs::SpanRecord* stop = find_span(spans, "capture.stop");
+    const obs::SpanRecord* merge = find_span(spans, "capture.merge");
+    const obs::SpanRecord* finalize = find_span(spans, "capture.finalize");
+    ASSERT_NE(stop, nullptr);
+    ASSERT_NE(merge, nullptr);
+    ASSERT_NE(finalize, nullptr);
+    EXPECT_EQ(merge->parent, stop->id);
+    EXPECT_EQ(finalize->parent, stop->id);
+    EXPECT_LE(merge->end_ns, finalize->start_ns);
 }
 
 TEST(TraceSpans, CrossThreadFanOutParentsUnderCapturedContext) {
