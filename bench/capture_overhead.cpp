@@ -23,6 +23,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -78,12 +79,26 @@ double bench_null_session(int rounds) {
     });
 }
 
+/// Streaming capture delivers live only to an event sink; without one it
+/// is the Buffered path.  Streaming rows therefore get a counting sink, so
+/// they time recording while the collector delivers.
+void attach_counting_sink(runtime::ProfilingSession& session,
+                          std::uint64_t& delivered) {
+    if (session.mode() == runtime::CaptureMode::Streaming)
+        session.set_event_sink(
+            [&delivered](std::span<const runtime::AccessEvent> events) {
+                delivered += events.size();
+            });
+}
+
 /// Times only the record() loop; session setup and stop()/finalize stay
 /// outside the timed window (they are not the per-event hot path).
 double bench_record(runtime::CaptureMode mode, int rounds) {
     double best = 1e100;
     for (int r = 0; r < rounds; ++r) {
+        std::uint64_t delivered = 0;
         runtime::ProfilingSession session(mode);
+        attach_counting_sink(session, delivered);
         const runtime::InstanceId id = session.register_instance(
             runtime::DsKind::List, "List<Int64>", {"Bench", "Record", 1});
         const auto t0 = Clock::now();
@@ -101,7 +116,9 @@ double bench_record(runtime::CaptureMode mode, int rounds) {
 double bench_profiled_list(runtime::CaptureMode mode, int rounds) {
     double best = 1e100;
     for (int r = 0; r < rounds; ++r) {
+        std::uint64_t delivered = 0;
         runtime::ProfilingSession session(mode);
+        attach_counting_sink(session, delivered);
         ds::ProfiledList<std::int64_t> list(&session, {"Bench", "List", 1});
         const auto t0 = Clock::now();
         for (std::size_t i = 0; i < kOpsPerRound; ++i)
@@ -119,7 +136,9 @@ double bench_record_mt(runtime::CaptureMode mode, unsigned threads,
                        int rounds) {
     double best = 1e100;
     for (int r = 0; r < rounds; ++r) {
+        std::uint64_t delivered = 0;
         runtime::ProfilingSession session(mode);
+        attach_counting_sink(session, delivered);
         std::vector<runtime::InstanceId> ids;
         for (unsigned t = 0; t < threads; ++t)
             ids.push_back(session.register_instance(

@@ -1,6 +1,6 @@
 // Micro benchmarks (google-benchmark): instrumentation overhead per
-// operation, event-channel throughput, analysis throughput, and the
-// parallel primitives behind the recommended actions.
+// operation, analysis throughput, and the parallel primitives behind the
+// recommended actions.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -10,7 +10,6 @@
 #include "ds/ds.hpp"
 #include "parallel/algorithms.hpp"
 #include "runtime/session.hpp"
-#include "runtime/spsc_ring.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -100,25 +99,6 @@ void BM_ListGet_Buffered(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_ListGet_Buffered);
-
-// --- event channel ----------------------------------------------------------
-
-void BM_SpscRing_PushPop(benchmark::State& state) {
-    runtime::SpscRing<runtime::AccessEvent> ring(4096);
-    runtime::AccessEvent ev;
-    for (auto _ : state) {
-        for (int i = 0; i < 1024; ++i) {
-            ev.seq = static_cast<std::uint64_t>(i);
-            benchmark::DoNotOptimize(ring.try_push(ev));
-        }
-        std::array<runtime::AccessEvent, 256> batch;
-        std::size_t drained = 0;
-        while (drained < 1024) drained += ring.pop_into(batch);
-        benchmark::DoNotOptimize(drained);
-    }
-    state.SetItemsProcessed(state.iterations() * 1024);
-}
-BENCHMARK(BM_SpscRing_PushPop);
 
 // --- analysis throughput -----------------------------------------------------
 

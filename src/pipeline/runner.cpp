@@ -1,7 +1,8 @@
 #include "pipeline/runner.hpp"
 
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <ostream>
 #include <stdexcept>
 #include <thread>
@@ -249,27 +250,43 @@ RunOutcome PipelineRunner::run_live(const RunPlan& plan, std::ostream& out,
         core::IncrementalAnalyzer incremental(plan.config);
         core::attach_incremental(*session, incremental);
 
+        const auto tick = [&] {
+            if (!on_tick) return;
+            const core::StreamReport snap =
+                core::Dsspy::snapshot(incremental, *session);
+            on_tick(WatchTick{snap, session->events_recorded(),
+                              incremental.events_folded()});
+        };
         if (plan.watch) {
-            std::atomic<bool> done{false};
+            // The worker signals the end of the workload, so the watch
+            // returns then instead of idling out the current interval.
+            std::mutex mutex;
+            std::condition_variable finished;
+            bool done = false;
             std::thread worker([&] {
                 run_workload(session.get());
-                done.store(true, std::memory_order_release);
+                {
+                    const std::scoped_lock lock(mutex);
+                    done = true;
+                }
+                finished.notify_one();
             });
             const auto interval =
                 std::chrono::milliseconds(plan.snapshot_interval_ms);
-            while (!done.load(std::memory_order_acquire)) {
-                std::this_thread::sleep_for(interval);
-                if (!on_tick) continue;
-                const core::StreamReport snap =
-                    core::Dsspy::snapshot(incremental, *session);
-                on_tick(WatchTick{snap, session->events_recorded(),
-                                  incremental.events_folded()});
+            std::unique_lock lock(mutex);
+            while (!finished.wait_for(lock, interval, [&] { return done; })) {
+                lock.unlock();
+                tick();
+                lock.lock();
             }
+            lock.unlock();
             worker.join();
         } else {
             run_workload(session.get());
         }
         session->stop();
+        // A watch ends on a snapshot of the whole run, everything folded.
+        if (plan.watch) tick();
         if (app != nullptr)
             err << app->name << ": checksum " << outcome.checksum << ", "
                 << incremental.events_folded() << " events\n";

@@ -34,7 +34,7 @@ struct WatchTick {
     std::uint64_t events_folded = 0;    ///< Absorbed by the analyzer so far.
 };
 
-/// Invoked once per snapshot interval while a watch plan's workload runs.
+/// Fires each snapshot interval while a watch workload runs, and at its end.
 using WatchCallback = std::function<void(const WatchTick&)>;
 
 class PipelineRunner {
@@ -52,8 +52,8 @@ public:
 
     /// Execute `plan`.  Reports go to `out`, diagnostics and session
     /// summaries to `err` (the CLI passes std::cout/std::cerr; the batch
-    /// driver passes per-job buffers).  `on_tick` fires between snapshot
-    /// intervals for watch plans and is ignored otherwise.
+    /// driver passes per-job buffers).  `on_tick` fires for watch plans
+    /// (see WatchCallback) and is ignored otherwise.
     [[nodiscard]] RunOutcome run(const RunPlan& plan, std::ostream& out,
                                  std::ostream& err,
                                  const WatchCallback& on_tick = {}) const;

@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <limits>
 #include <span>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -23,16 +24,16 @@ struct CaptureMetricIds {
     obs::MetricId seq_block_refills;   ///< Per-thread seq blocks drawn.
     obs::MetricId channels;            ///< Recording threads registered.
     obs::MetricId dropped_after_stop;  ///< Quiesce-contract violations.
-    obs::MetricId backpressure_waits;  ///< Ring-full wait episodes.
+    obs::MetricId backpressure_waits;  ///< Undelivered-bound waits.
     obs::MetricId events_recorded;     ///< Total events captured.
     obs::MetricId events_per_sec;      ///< Capture-window throughput.
     obs::MetricId capture_wall_ns;     ///< Capture-window duration.
     obs::MetricId orphan_events;       ///< Store-only instance events.
     obs::MetricId collector_yields;    ///< Idle-backoff yield rounds.
     obs::MetricId collector_sleeps;    ///< Idle-backoff timed sleeps.
-    obs::MetricId drain_batch;         ///< Histogram of drain batch sizes.
-    obs::MetricId pending_hwm;         ///< Ordered-delivery buffer peak.
-    obs::MetricId chunk_bytes;         ///< Buffered-mode chunk memory.
+    obs::MetricId drain_batch;         ///< Rows per live delivery round.
+    obs::MetricId pending_hwm;         ///< Undelivered rows, channel peak.
+    obs::MetricId chunk_bytes;         ///< Chunk memory allocated.
 };
 
 const CaptureMetricIds& capture_metrics() {
@@ -80,14 +81,6 @@ thread_local std::array<ThreadSlot, 4> t_slots{};
 
 }  // namespace
 
-ProfilingSession::Channel::Channel(ThreadId id, CaptureMode mode,
-                                   std::size_t ring_capacity)
-    : tid(id) {
-    if (mode == CaptureMode::Streaming)
-        ring = std::make_unique<SpscRing<AccessEvent>>(ring_capacity);
-    // Buffered mode allocates its first chunk lazily on the first record.
-}
-
 ProfilingSession::Channel::Chunk::Chunk(std::size_t rows)
     : position(std::make_unique_for_overwrite<std::int64_t[]>(rows)),
       instance(std::make_unique_for_overwrite<InstanceId[]>(rows)),
@@ -101,43 +94,55 @@ ProfilingSession::Channel::Chunk::Chunk(std::size_t rows)
 
 void ProfilingSession::Channel::grow_chunk() {
     const std::size_t cap =
-        chunks.empty()
-            ? kFirstChunkEvents
-            : std::min(chunks.back().capacity * 2, kMaxChunkEvents);
-    chunks.emplace_back(cap);
+        last == nullptr ? kFirstChunkEvents
+                        : std::min(last->capacity * 2, kMaxChunkEvents);
+    auto* chunk = new Chunk(cap);
+    (last == nullptr ? first : last->next) = chunk;
+    last = chunk;
     fill = 0;
     if (obs::enabled())
         obs::MetricsRegistry::global().add(capture_metrics().chunk_bytes,
                                            chunk_bytes(cap));
 }
 
+void ProfilingSession::Channel::release_chunks() noexcept {
+    while (first != nullptr) delete std::exchange(first, first->next);
+    last = read = nullptr;
+}
+
+void ProfilingSession::Channel::next_read_chunk(bool release) noexcept {
+    Chunk* done = std::exchange(read, read->next);
+    read_row = 0;
+    if (release) {
+        first = read;
+        delete done;
+    }
+}
+
 void ProfilingSession::Channel::append_blocks(
     std::uint64_t events, std::vector<CaptureBlock>& out) const {
-    for (const Chunk& chunk : chunks) {
-        if (events == 0) break;
+    for (const Chunk* chunk = first; chunk != nullptr && events > 0;
+         chunk = chunk->next) {
         const std::size_t n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(events, chunk.capacity));
-        out.push_back(CaptureBlock{chunk.position.get(),
-                                   chunk.instance.get(), chunk.size.get(),
-                                   chunk.op.get(), chunk.seq_base.get(),
-                                   chunk.time_ns.get(), n, tid});
+            std::min<std::uint64_t>(events, chunk->capacity));
+        out.push_back(chunk->view(n, tid));
         events -= n;
     }
 }
 
-ProfilingSession::ProfilingSession(CaptureMode mode, std::size_t ring_capacity,
+ProfilingSession::ProfilingSession(CaptureMode mode,
+                                   std::size_t max_undelivered,
                                    AnalysisMode analysis)
     : mode_(mode),
-      ring_capacity_(ring_capacity),
+      // Producers check the bound once per seq block: whole blocks only.
+      max_undelivered_(std::max<std::size_t>(
+          (max_undelivered + kSeqBlockSize - 1) / kSeqBlockSize *
+              kSeqBlockSize,
+          kSeqBlockSize)),
       analysis_(analysis),
       token_(next_session_token()),
       trace_ctx_(obs::current_trace_context()),
-      start_ns_(support::now_ns()) {
-    if (mode_ == CaptureMode::Streaming) {
-        collector_ = std::jthread(
-            [this](const std::stop_token& st) { collector_loop(st); });
-    }
-}
+      start_ns_(support::now_ns()) {}
 
 ProfilingSession::~ProfilingSession() {
     stop();
@@ -161,6 +166,10 @@ InstanceId ProfilingSession::register_instance(DsKind kind,
 void ProfilingSession::set_event_sink(EventSink sink) {
     sink_ = std::move(sink);
     has_sink_.store(static_cast<bool>(sink_), std::memory_order_release);
+    if (mode_ == CaptureMode::Streaming && sink_ && capturing() &&
+        !collector_.joinable())
+        collector_ = std::jthread(
+            [this](const std::stop_token& st) { collector_loop(st); });
 }
 
 void ProfilingSession::set_instance_sink(InstanceSink sink) {
@@ -181,7 +190,7 @@ ProfilingSession::Channel& ProfilingSession::channel_for_current_thread() {
     // ever stalled by a registration.
     const auto tid = static_cast<ThreadId>(
         next_tid_.fetch_add(1, std::memory_order_relaxed));
-    auto* chan = new Channel(tid, mode_, ring_capacity_);
+    auto* chan = new Channel(tid);
     Channel* head = channels_head_.load(std::memory_order_relaxed);
     do {
         chan->next = head;
@@ -212,80 +221,59 @@ void ProfilingSession::record(InstanceId instance, OpKind op,
         return;
     }
 
-    if (mode_ == CaptureMode::Buffered) {
-        if (chan.chunks.empty() || chan.fill == chan.chunks.back().capacity)
-            chan.grow_chunk();
-        // Chunk capacities are whole seq blocks, so the row index alone
-        // says when this thread starts a seq block or a timestamp group.
-        Channel::Chunk& chunk = chan.chunks.back();
-        const std::size_t i = chan.fill;
-        if (i % kSeqBlockSize == 0)
-            chunk.seq_base[i / kSeqBlockSize] = claim_seq_block();
-        if (i % kTimestampStride == 0)
-            chunk.time_ns[i / kTimestampStride] = support::now_ns();
-        chunk.position[i] = position;
-        chunk.instance[i] = instance;
-        chunk.size[i] = size;
-        chunk.op[i] = op;
-        chan.fill = i + 1;
-    } else {
-        record_streaming(chan, instance, op, position, size);
-    }
-    // Release-publish the completed record; stop() acquire-reads this count
-    // so every merged event is fully visible (single writer: plain add).
+    if (chan.last == nullptr || chan.fill == chan.last->capacity)
+        chan.grow_chunk();
+    // Chunk capacities are whole seq blocks, so the row index alone says
+    // when this thread starts a seq block or a timestamp group.
+    Channel::Chunk& chunk = *chan.last;
+    const std::size_t i = chan.fill;
+    if (i % kSeqBlockSize == 0)
+        chunk.seq_base[i / kSeqBlockSize] = claim_seq_block(chan);
+    if (i % kTimestampStride == 0)
+        chunk.time_ns[i / kTimestampStride] = support::now_ns();
+    chunk.position[i] = position;
+    chunk.instance[i] = instance;
+    chunk.size[i] = size;
+    chunk.op[i] = op;
+    chan.fill = i + 1;
+    // Release-publish the completed record: the collector and stop()
+    // acquire-read this count, so every row below it is fully visible
+    // (single writer: plain add).
     chan.events.store(chan.events.load(std::memory_order_relaxed) + 1,
                       std::memory_order_release);
-    // Ordered delivery: next_seq lower-bounds every future seq from this
-    // channel (fresh blocks come from a monotonic allocator).  The release
-    // pairs with the collector's acquire, so once it reads this bound,
-    // every event below it is already in the ring.
-    if (mode_ == CaptureMode::Streaming &&
-        has_sink_.load(std::memory_order_relaxed))
-        chan.published.store(chan.next_seq, std::memory_order_release);
 }
 
-std::uint64_t ProfilingSession::claim_seq_block() {
+std::uint64_t ProfilingSession::claim_seq_block(const Channel& chan) {
+    if (mode_ == CaptureMode::Streaming &&
+        has_sink_.load(std::memory_order_relaxed))
+        await_collector(chan);
     // Telemetry rides this cold branch (once per kSeqBlockSize events); the
     // per-event path stays untouched.  The span parents under the session
     // creator's context so refills show up inside the run's tree rather
     // than as orphan roots.
     DSSPY_TRACE_SPAN_UNDER("capture.seq_refill", trace_ctx_);
+    // Release: a collector whose acquire load of the allocator sees this
+    // block also sees the channel registered before it (deliver()).
     const std::uint64_t base =
-        seq_alloc_.fetch_add(kSeqBlockSize, std::memory_order_relaxed);
+        seq_alloc_.fetch_add(kSeqBlockSize, std::memory_order_release);
     if (obs::enabled())
         obs::MetricsRegistry::global().add(
             capture_metrics().seq_block_refills);
     return base;
 }
 
-void ProfilingSession::record_streaming(Channel& chan, InstanceId instance,
-                                        OpKind op, std::int64_t position,
-                                        std::uint32_t size) noexcept {
-    if (chan.next_seq == chan.seq_block_end) {
-        chan.next_seq = claim_seq_block();
-        chan.seq_block_end = chan.next_seq + kSeqBlockSize;
-        // A fresh block also starts a timestamp group.
-        chan.ts_countdown = 0;
-    }
-    if (chan.ts_countdown == 0) {
-        chan.last_ts_ns = support::now_ns();
-        chan.ts_countdown = kTimestampStride;
-    }
-    --chan.ts_countdown;
-    AccessEvent ev;
-    ev.seq = chan.next_seq++;
-    ev.time_ns = chan.last_ts_ns;
-    ev.position = position;
-    ev.instance = instance;
-    ev.size = size;
-    ev.op = op;
-    ev.thread = chan.tid;
-    // Blocking backpressure: the mutator waits for the collector rather
-    // than dropping events — profiles must be complete for the pattern
-    // analysis to be meaningful.  Escalate from yield to a short sleep in
-    // case the collector is in its idle backoff.
+/// Streaming backpressure: the mutator waits for the collector rather than
+/// dropping events — profiles must be complete for the pattern analysis to
+/// be meaningful.  Escalate from yield to a short sleep in case the
+/// collector is in its idle backoff.  A watermark held by a fully
+/// delivered channel cannot move until that channel records again, so
+/// while the collector reports that, the producer goes on.
+void ProfilingSession::await_collector(const Channel& chan) const noexcept {
+    const std::uint64_t events = chan.events.load(std::memory_order_relaxed);
     unsigned spins = 0;
-    while (!chan.ring->try_push(ev)) {
+    while (events - chan.delivered.load(std::memory_order_acquire) >=
+               max_undelivered_ &&
+           !stalled_.load(std::memory_order_acquire)) {
         if (spins == 0 && obs::enabled())
             obs::MetricsRegistry::global().add(
                 capture_metrics().backpressure_waits);
@@ -298,30 +286,13 @@ void ProfilingSession::record_streaming(Channel& chan, InstanceId instance,
 }
 
 void ProfilingSession::collector_loop(const std::stop_token& st) {
-    std::array<AccessEvent, 1024> batch;
     unsigned idle_rounds = 0;
     while (!st.stop_requested()) {
-        bool any = false;
-        // Re-read each round: the collector starts in the constructor,
-        // before any set_event_sink() call can have happened.
-        if (has_sink_.load(std::memory_order_acquire)) {
-            any = collect_ordered_round();
-        } else {
-            for (Channel* chan =
-                     channels_head_.load(std::memory_order_acquire);
-                 chan != nullptr; chan = chan->next) {
-                const std::size_t n = chan->ring->pop_into(batch);
-                if (n > 0) {
-                    if (analysis_ == AnalysisMode::Postmortem)
-                        store_.append(std::span(batch.data(), n));
-                    if (obs::enabled())
-                        obs::MetricsRegistry::global().observe(
-                            capture_metrics().drain_batch, n);
-                    any = true;
-                }
-            }
-        }
-        if (any) {
+        const std::uint64_t n = deliver(/*live=*/true);
+        if (n > 0) {
+            if (obs::enabled())
+                obs::MetricsRegistry::global().observe(
+                    capture_metrics().drain_batch, n);
             idle_rounds = 0;
             continue;
         }
@@ -343,152 +314,83 @@ void ProfilingSession::collector_loop(const std::stop_token& st) {
             std::this_thread::sleep_for(std::chrono::microseconds(1u << log2));
         }
     }
-    // Final drain only: spanning every collector round would flood the
-    // trace with millions of idle-loop spans; the steady-state drains are
-    // already covered by the drain_batch histogram.
-    DSSPY_TRACE_SPAN_UNDER("capture.drain", trace_ctx_);
-    drain_all_rings();
-    if (has_sink_.load(std::memory_order_acquire)) {
-        // All producers have quiesced: no bound can rise any more, so
-        // everything still pending is deliverable.
-        deliver_ordered(/*final_flush=*/true);
-    }
 }
 
-/// One ordered-collection round: per channel, read its published sequence
-/// bound and THEN drain the ring into the channel's pending buffer — that
-/// order guarantees that every event below the bound is in the buffer (the
-/// bound is release-stored after the push it covers).  Then deliver every
-/// pending event below the cross-channel watermark.
-bool ProfilingSession::collect_ordered_round() {
-    std::array<AccessEvent, 1024> batch;
-    bool any = false;
-    for (Channel* chan = channels_head_.load(std::memory_order_acquire);
-         chan != nullptr; chan = chan->next) {
-        chan->bound = chan->published.load(std::memory_order_acquire);
-        std::size_t n;
-        unsigned rounds = 0;
-        while ((n = chan->ring->pop_into(batch)) > 0) {
-            if (analysis_ == AnalysisMode::Postmortem)
-                store_.append(std::span(batch.data(), n));
-            chan->pending.insert(chan->pending.end(), batch.data(),
-                                 batch.data() + n);
-            any = true;
-            if (obs::enabled())
-                obs::MetricsRegistry::global().observe(
-                    capture_metrics().drain_batch, n);
-            // A fast producer could refill indefinitely; cap the drain and
-            // revisit next round.  Stopping early is safe: with events left
-            // in the ring, the channel's pending front (older than anything
-            // in the ring) bounds the watermark instead of `bound`.
-            if (++rounds == 16) break;
-        }
-        if (obs::enabled() && chan->pending.size() > chan->pending_head)
-            obs::MetricsRegistry::global().gauge_max(
-                capture_metrics().pending_hwm,
-                chan->pending.size() - chan->pending_head);
-    }
-    deliver_ordered(/*final_flush=*/false);
-    return any;
-}
-
-/// Deliver pending events to the sink in ascending global seq order, up to
-/// the watermark (the minimum over every channel's next undelivered seq or,
-/// for fully-drained channels, its published bound).  With `final_flush`
-/// the bounds are ignored: no further events can appear.
-void ProfilingSession::deliver_ordered(bool final_flush) {
-    for (;;) {
-        Channel* best = nullptr;
-        std::uint64_t best_seq = 0;
-        // Smallest cursor among the *other* channels = how far `best` may
-        // be delivered without risking a seq inversion.
-        std::uint64_t limit = std::numeric_limits<std::uint64_t>::max();
-        for (Channel* chan = channels_head_.load(std::memory_order_acquire);
-             chan != nullptr; chan = chan->next) {
-            const bool has_pending = chan->pending_head < chan->pending.size();
-            if (!has_pending && final_flush) continue;
-            const std::uint64_t cursor =
-                has_pending ? chan->pending[chan->pending_head].seq
-                            : chan->bound;
-            if (has_pending && (best == nullptr || cursor < best_seq)) {
-                if (best != nullptr) limit = std::min(limit, best_seq);
-                best = chan;
-                best_seq = cursor;
-            } else {
-                limit = std::min(limit, cursor);
-            }
-        }
-        if (best == nullptr) return;
-        const std::vector<AccessEvent>& pend = best->pending;
-        std::size_t end = best->pending_head;
-        while (end < pend.size() && pend[end].seq < limit) ++end;
-        if (end == best->pending_head) return;  // watermark blocks progress
-        sink_(std::span(pend.data() + best->pending_head,
-                        end - best->pending_head));
-        best->pending_head = end;
-        if (best->pending_head == best->pending.size()) {
-            best->pending.clear();
-            best->pending_head = 0;
-        } else if (best->pending_head >= 4096 &&
-                   best->pending_head * 2 >= best->pending.size()) {
-            best->pending.erase(best->pending.begin(),
-                                best->pending.begin() +
-                                    static_cast<std::ptrdiff_t>(
-                                        best->pending_head));
-            best->pending_head = 0;
-        }
-    }
-}
-
-void ProfilingSession::drain_all_rings() {
-    std::array<AccessEvent, 1024> batch;
-    const bool ordered = has_sink_.load(std::memory_order_acquire);
-    for (Channel* chan = channels_head_.load(std::memory_order_acquire);
-         chan != nullptr; chan = chan->next) {
-        if (!chan->ring) continue;
-        std::size_t n;
-        while ((n = chan->ring->pop_into(batch)) > 0) {
-            if (analysis_ == AnalysisMode::Postmortem)
-                store_.append(std::span(batch.data(), n));
-            if (ordered)
-                chan->pending.insert(chan->pending.end(), batch.data(),
-                                     batch.data() + n);
-        }
-    }
-}
-
-/// Buffered-mode ordered delivery: k-way merge of the sealed per-thread
-/// chunk chains by seq, batched to the sink.  Runs on the stop() caller.
-/// Seqs are consecutive within a seq block and chunks hold whole blocks,
-/// so the merge moves a block at a time, never comparing per row.
-void ProfilingSession::buffered_merge_to_sink() {
-    // Every channel's chunk chain, one after another; a cursor walks its
-    // channel's blocks [block, end).
-    std::vector<CaptureBlock> blocks;
+/// The ordered merge: hands every published, undelivered row of every
+/// channel to the sink in ascending global seq order and returns how many
+/// it delivered.  Seqs are consecutive within a seq block and chunks hold
+/// whole blocks, so the merge moves a block at a time, never comparing per
+/// row.  Live (the collector), it stops at the watermark: rows at or above
+/// it may still be preceded by a row some channel has yet to record.
+/// Otherwise (stop(), every producer quiesced) it delivers everything.
+std::uint64_t ProfilingSession::deliver(bool live) {
+    // Threads not on the list yet will draw blocks at or above the
+    // allocator's current value.  The acquire pairs with claim_seq_block's
+    // release: a block drawn before this load belongs to a listed channel.
+    std::uint64_t limit = live ? seq_alloc_.load(std::memory_order_acquire)
+                               : std::numeric_limits<std::uint64_t>::max();
+    bool held_by_drained = false;
+    // An Incremental session keeps no events: what the sink saw goes.
+    const bool free_delivered = analysis_ == AnalysisMode::Incremental;
     struct Cursor {
-        std::size_t block;
-        std::size_t end;
-        std::size_t row;
+        Channel* chan;
+        std::uint64_t left;  ///< Published rows not yet delivered.
     };
     std::vector<Cursor> cursors;
+    std::uint64_t most_left = 0;
     for (Channel* chan = channels_head_.load(std::memory_order_acquire);
          chan != nullptr; chan = chan->next) {
-        const std::size_t first = blocks.size();
-        chan->append_blocks(chan->events.load(std::memory_order_acquire),
-                            blocks);
-        if (blocks.size() > first)
-            cursors.push_back(Cursor{first, blocks.size(), 0});
+        // The acquire pairs with record()'s release: rows below `events`
+        // and the chunk links they need are visible.
+        const std::uint64_t events =
+            chan->events.load(std::memory_order_acquire);
+        const std::uint64_t left =
+            events - chan->delivered.load(std::memory_order_relaxed);
+        if (left > 0) {
+            if (chan->read == nullptr) chan->read = chan->first;
+            if (chan->read_row == chan->read->capacity)
+                chan->next_read_chunk(free_delivered);
+            cursors.push_back(Cursor{chan, left});
+            most_left = std::max(most_left, left);
+        }
+        if (!live) continue;
+        // Every later row of this channel lies above its last row's seq:
+        // it continues that row's block or draws a later one.  A channel
+        // without rows may have drawn any block; it holds everything.
+        std::uint64_t bound = 0;
+        if (left > 0) {
+            const Channel::Chunk* chunk = chan->read;
+            std::uint64_t row = chan->read_row + left - 1;
+            for (; row >= chunk->capacity; chunk = chunk->next)
+                row -= chunk->capacity;
+            bound = chunk->view(chunk->capacity, chan->tid)
+                        .seq(static_cast<std::size_t>(row)) +
+                    1;
+        } else if (events > 0) {
+            bound = chan->delivered_end;
+        }
+        if (bound < limit) {
+            limit = bound;
+            held_by_drained = left == 0 && events > 0;
+        }
     }
-    const auto seq = [&blocks](const Cursor& c) {
-        return blocks[c.block].seq(c.row);
+    if (live && obs::enabled() && most_left > 0)
+        obs::MetricsRegistry::global().gauge_max(
+            capture_metrics().pending_hwm, most_left);
+
+    const auto seq = [](const Cursor& c) {
+        const Channel& chan = *c.chan;
+        return chan.read->view(chan.read->capacity, chan.tid)
+            .seq(chan.read_row);
     };
     std::array<AccessEvent, kSeqBlockSize> batch;
     std::size_t filled = 0;
+    std::uint64_t total = 0;
     while (!cursors.empty()) {
         // Pick the channel holding the globally smallest seq and stream it
-        // until the runner-up channel's seq takes over.
+        // until the runner-up channel's seq or the watermark takes over.
         std::size_t bi = 0;
-        std::uint64_t second = std::numeric_limits<std::uint64_t>::max();
+        std::uint64_t second = limit;
         for (std::size_t i = 1; i < cursors.size(); ++i) {
             const std::uint64_t s = seq(cursors[i]);
             if (s < seq(cursors[bi])) {
@@ -499,19 +401,26 @@ void ProfilingSession::buffered_merge_to_sink() {
             }
         }
         Cursor& c = cursors[bi];
-        bool live = true;
+        if (seq(c) >= limit) break;
+        if (total == 0 && live) stalled_.store(false, std::memory_order_release);
+        Channel& chan = *c.chan;
+        const std::uint64_t left_before = c.left;
         // Seq blocks are disjoint, so the channel holding the smallest seq
-        // holds its whole current block below every other channel's seq.
-        // It hands over block by block, each block's rows copied in one
-        // loop, until the runner-up's seq is the smaller one.
-        while (live && seq(c) < second) {
-            const CaptureBlock& b = blocks[c.block];
-            const std::size_t rows =
-                std::min<std::size_t>(kSeqBlockSize, b.rows - c.row);
+        // holds the rest of its current block below every other channel's
+        // seq and below the watermark.  It hands over block by block, each
+        // block's rows copied in one loop, until the runner-up's seq or
+        // the watermark is the smaller one.
+        while (c.left > 0 && seq(c) < second) {
+            const CaptureBlock b =
+                chan.read->view(chan.read->capacity, chan.tid);
+            const std::size_t rows = static_cast<std::size_t>(
+                std::min<std::uint64_t>(
+                    kSeqBlockSize - chan.read_row % kSeqBlockSize, c.left));
             for (std::size_t k = 0; k < rows;) {
                 const std::size_t n =
                     std::min(rows - k, batch.size() - filled);
-                for (std::size_t r = c.row + k, e = r + n; r < e; ++r)
+                for (std::size_t r = chan.read_row + k, e = r + n; r < e;
+                     ++r)
                     batch[filled++] = b.row(r);
                 k += n;
                 if (filled == batch.size()) {
@@ -519,18 +428,27 @@ void ProfilingSession::buffered_merge_to_sink() {
                     filled = 0;
                 }
             }
-            c.row += rows;
-            if (c.row == b.rows) {
-                c.row = 0;
-                live = ++c.block < c.end;
-            }
+            chan.read_row += rows;
+            chan.delivered_end = b.seq(chan.read_row - 1) + 1;
+            c.left -= rows;
+            if (c.left > 0 && chan.read_row == b.rows)
+                chan.next_read_chunk(free_delivered);
         }
-        if (!live) {
+        total += left_before - c.left;
+        // Release: a waiting producer reads this count (await_collector).
+        chan.delivered.store(chan.delivered.load(std::memory_order_relaxed) +
+                                 left_before - c.left,
+                             std::memory_order_release);
+        if (c.left == 0) {
             cursors[bi] = cursors.back();
             cursors.pop_back();
         }
     }
     if (filled > 0) sink_(std::span<const AccessEvent>(batch.data(), filled));
+    if (live && total == 0)
+        stalled_.store(held_by_drained && !cursors.empty(),
+                       std::memory_order_release);
+    return total;
 }
 
 void ProfilingSession::stop() {
@@ -541,28 +459,20 @@ void ProfilingSession::stop() {
     stop_ns_ = support::now_ns();
     DSSPY_TRACE_SPAN("capture.stop");
 
-    if (mode_ == CaptureMode::Streaming) {
-        if (collector_.joinable()) {
-            collector_.request_stop();
-            collector_.join();  // collector drains remaining events on exit
-        }
-        for (Channel* chan = channels_head_.load(std::memory_order_acquire);
-             chan != nullptr; chan = chan->next)
-            chan->sealed.store(true, std::memory_order_release);
-    } else {
-        for (Channel* chan = channels_head_.load(std::memory_order_acquire);
-             chan != nullptr; chan = chan->next)
-            chan->sealed.store(true, std::memory_order_release);
-        if (has_sink_.load(std::memory_order_acquire)) {
-            DSSPY_TRACE_SPAN("capture.merge");
-            buffered_merge_to_sink();
-        }
+    if (collector_.joinable()) {
+        collector_.request_stop();
+        collector_.join();
+    }
+    for (Channel* chan = channels_head_.load(std::memory_order_acquire);
+         chan != nullptr; chan = chan->next)
+        chan->sealed.store(true, std::memory_order_release);
+    if (has_sink_.load(std::memory_order_acquire)) {
+        DSSPY_TRACE_SPAN("capture.merge");
+        deliver(/*live=*/false);
     }
     {
         DSSPY_TRACE_SPAN("capture.finalize");
-        if (mode_ == CaptureMode::Streaming) {
-            store_.finalize();  // groups the batches the collector staged
-        } else if (analysis_ == AnalysisMode::Postmortem) {
+        if (analysis_ == AnalysisMode::Postmortem) {
             // Group straight out of the sealed chunks.  The acquire pairs
             // with the release in record(): exactly the events whose
             // writes are fully published are taken.
@@ -576,10 +486,8 @@ void ProfilingSession::stop() {
         }
         // The store now holds every event; the chunks go.
         for (Channel* chan = channels_head_.load(std::memory_order_acquire);
-             chan != nullptr; chan = chan->next) {
-            chan->chunks.clear();
-            chan->chunks.shrink_to_fit();
-        }
+             chan != nullptr; chan = chan->next)
+            chan->release_chunks();
     }
     stop_end_ns_ = support::now_ns();
 

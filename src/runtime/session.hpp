@@ -3,11 +3,13 @@
 //
 // This is the C++ equivalent of DSspy's dynamic-analysis module.  The paper
 // runs analysis "in a separate process which receives the runtime
-// information via asynchronous intra-process communication"; here each
-// recording thread owns a lock-free SPSC ring drained by a dedicated
-// collector thread (`CaptureMode::Streaming`), or an unsynchronized
-// per-thread buffer merged at `stop()` (`CaptureMode::Buffered`).  Both
-// modes produce an identical ProfileStore; the micro benches compare their
+// information via asynchronous intra-process communication".  Every
+// recording thread appends to its own chain of compact chunks; the two
+// capture modes differ only in when the chunks are delivered to an event
+// sink: a dedicated collector thread delivers them live while producers
+// append (`CaptureMode::Streaming`), or stop() delivers them all at once
+// (`CaptureMode::Buffered`).  Both modes record through the same record()
+// and produce an identical ProfileStore; the micro benches compare their
 // overhead.
 //
 // Hot-path design (the paper reports an average 47x capture slowdown; this
@@ -23,23 +25,30 @@
 //     thread; events in between reuse the reading.  Timestamps stay
 //     monotonic per thread at stride granularity — sufficient for the
 //     duration-based use-case rules, 64x fewer clock reads.
-//   * Compact chunks (Buffered mode): a row stores only what the caller
-//     passed — position (8 B), instance (4 B), size (4 B), op (1 B) — in
-//     per-chunk columns.  The chunk adds one seq base per `kSeqBlockSize`
-//     rows and one clock reading per `kTimestampStride` rows: 17.13 B per
-//     event instead of a 32-byte AccessEvent, and each chunk byte costs a
-//     first-touch page fault.  The rest is derived, exactly: chunk
-//     capacities are multiples of kSeqBlockSize, so a seq block and a
-//     timestamp group always start at a row index that is a multiple of
-//     their size; row i's seq is `seq_base[i / kSeqBlockSize] +
-//     i % kSeqBlockSize`, its timestamp `time_ns[i / kTimestampStride]`
-//     and its thread the channel's (CaptureBlock).  The row index alone
-//     decides when record() draws a block or reads the clock.
-//     Streaming mode moves whole AccessEvents through its rings.
+//   * Compact chunks: a row stores only what the caller passed — position
+//     (8 B), instance (4 B), size (4 B), op (1 B) — in per-chunk columns.
+//     The chunk adds one seq base per `kSeqBlockSize` rows and one clock
+//     reading per `kTimestampStride` rows: 17.13 B per event instead of a
+//     32-byte AccessEvent, and each chunk byte costs a first-touch page
+//     fault.  The rest is derived, exactly: chunk capacities are multiples
+//     of kSeqBlockSize, so a seq block and a timestamp group always start
+//     at a row index that is a multiple of their size; row i's seq is
+//     `seq_base[i / kSeqBlockSize] + i % kSeqBlockSize`, its timestamp
+//     `time_ns[i / kTimestampStride]` and its thread the channel's
+//     (CaptureBlock).  The row index alone decides when record() draws a
+//     block or reads the clock.
+//   * Live delivery (Streaming mode with a sink): the producer links a new
+//     chunk into its chain before writing any row into it and
+//     release-publishes its row count after each row, so every row below
+//     the count is stable and the collector reads it in place.  The
+//     collector merges the channels block-wise by seq below a watermark
+//     (no channel can still record a seq under it) and, in
+//     AnalysisMode::Incremental, frees each chunk it has delivered in full.
+//     Producers wait once per seq block while their undelivered rows reach
+//     the session's bound.
 //   * Registration: channels live on a lock-free intrusive list, so thread
 //     registration never stalls the collector and the collector never
-//     blocks producers (the old design drained rings while holding a
-//     mutex that registration also needed).
+//     blocks producers.
 #pragma once
 
 #include <atomic>
@@ -55,14 +64,13 @@
 #include "runtime/column_store.hpp"
 #include "runtime/instance_registry.hpp"
 #include "runtime/profile_store.hpp"
-#include "runtime/spsc_ring.hpp"
 
 namespace dsspy::runtime {
 
 /// How events travel from the mutator threads to the ProfileStore.
 enum class CaptureMode {
-    Buffered,   ///< Per-thread append-only buffers, merged at stop().
-    Streaming,  ///< Per-thread SPSC rings drained live by a collector thread.
+    Buffered,   ///< Per-thread chunk chains, merged at stop().
+    Streaming,  ///< The same chains, delivered live by a collector thread.
 };
 
 /// What happens to events once captured (DESIGN.md §8).
@@ -80,7 +88,7 @@ enum class AnalysisMode {
 ///
 /// Threading contract: `record()` may be called from any number of threads
 /// concurrently.  `stop()` must be called after all recording threads have
-/// quiesced (joined); it drains/merges outstanding events and finalizes the
+/// quiesced (joined); it delivers outstanding events and finalizes the
 /// store.  After `stop()` the session is read-only.  The contract is
 /// enforced by an acquire/release handshake: every completed `record()`
 /// release-publishes its channel's event count, `stop()` acquire-reads it
@@ -96,15 +104,14 @@ public:
     static constexpr std::uint32_t kTimestampStride =
         runtime::kTimestampStride;
 
-    /// Buffered-mode chunk sizing: 4K rows first, doubling to a 64K-row
-    /// steady state.
+    /// Chunk sizing: 4K rows first, doubling to a 64K-row steady state.
     static constexpr std::size_t kFirstChunkEvents = 4096;
     static constexpr std::size_t kMaxChunkEvents = std::size_t{1} << 16;
     static_assert(kFirstChunkEvents % kSeqBlockSize == 0 &&
                       kMaxChunkEvents % kSeqBlockSize == 0,
                   "a chunk must hold whole seq blocks");
 
-    /// Bytes a Buffered-mode chunk of `rows` rows allocates: 17 per row,
+    /// Bytes a chunk of `rows` rows allocates: 17 per row,
     /// plus one seq base per seq block and one clock reading per
     /// timestamp group.
     [[nodiscard]] static constexpr std::size_t chunk_bytes(
@@ -120,8 +127,12 @@ public:
     /// Consumer for instance registrations; see set_instance_sink().
     using InstanceSink = std::function<void(const InstanceInfo&)>;
 
+    /// `max_undelivered` bounds, per recording thread, the rows a
+    /// Streaming session with an event sink holds undelivered (rounded up
+    /// to whole seq blocks): a producer that reaches it waits for the
+    /// collector before it starts its next seq block.
     explicit ProfilingSession(CaptureMode mode = CaptureMode::Buffered,
-                              std::size_t ring_capacity = 64 * 1024,
+                              std::size_t max_undelivered = 64 * 1024,
                               AnalysisMode analysis = AnalysisMode::Postmortem);
     ~ProfilingSession();
 
@@ -139,8 +150,9 @@ public:
     void record(InstanceId instance, OpKind op, std::int64_t position,
                 std::uint32_t size) noexcept;
 
-    /// Stop capture: drain rings / seal buffers and group every event into
-    /// the store's columns, then release the chunks.  Idempotent.
+    /// Stop capture: join the collector, seal the chunk chains, deliver
+    /// what the sink has not seen and group every event into the store's
+    /// columns, then release the chunks.  Idempotent.
     void stop();
 
     /// True until `stop()` has been called.
@@ -155,15 +167,15 @@ public:
     }
 
     /// Install a consumer for captured events.  Must be installed before
-    /// the first record().  Delivery is in ascending global `seq` order —
+    /// the first record(); in Streaming mode it starts the collector.  Delivery is in ascending global `seq` order —
     /// which implies each instance's (and each thread's) events arrive in
-    /// their program order, the order the finalized store would present:
-    /// in Streaming mode the collector merges the per-thread rings behind
-    /// a watermark (every channel's published sequence bound) and delivers
-    /// as the watermark advances; in Buffered mode the per-thread chains
-    /// are merge-delivered at stop().  The sink runs on the collector
-    /// thread (Streaming) or the stop() caller (Buffered) and must not
-    /// call back into this session except for registry()/snapshot reads.
+    /// their program order, the order the finalized store would present.
+    /// One merge serves both modes: in Streaming mode the collector runs
+    /// it live, below a watermark no channel can still record under, and
+    /// stop() delivers the rest; in Buffered mode stop() delivers
+    /// everything.  The sink runs on the collector thread (Streaming) or
+    /// the stop() caller and must not call back into this session except
+    /// for registry()/snapshot reads.
     void set_event_sink(EventSink sink);
 
     /// Install a consumer notified of every instance registration (after
@@ -188,8 +200,8 @@ public:
     /// (start of session to stop()).
     [[nodiscard]] std::uint64_t capture_duration_ns() const noexcept;
 
-    /// Wall-clock duration of stop() itself in nanoseconds (drain, merge
-    /// and grouping into columns); 0 before stop().
+    /// Wall-clock duration of stop() itself in nanoseconds (collector
+    /// join, merge and grouping into columns); 0 before stop().
     [[nodiscard]] std::uint64_t stop_duration_ns() const noexcept {
         return stop_end_ns_ - stop_ns_;
     }
@@ -201,15 +213,15 @@ public:
 
 private:
     struct Channel {
-        explicit Channel(ThreadId id, CaptureMode mode,
-                         std::size_t ring_capacity);
+        explicit Channel(ThreadId id) : tid(id) {}
+        ~Channel() { release_chunks(); }
         ThreadId tid;
 
-        /// Buffered mode: events land in a chain of fixed chunks (cap
-        /// doubling up to kMaxChunkEvents) in the compact form described
-        /// in the file comment.  Unlike a growable vector this never
-        /// copies on growth, and chunks are allocated uninitialized so
-        /// each page is touched exactly once.
+        /// Events land in a linked chain of fixed chunks (cap doubling up
+        /// to kMaxChunkEvents) in the compact form described in the file
+        /// comment.  Unlike a growable vector this never copies on growth,
+        /// and chunks are allocated uninitialized so each page is touched
+        /// exactly once.
         struct Chunk {
             explicit Chunk(std::size_t rows);
             std::unique_ptr<std::int64_t[]> position;
@@ -219,51 +231,56 @@ private:
             std::unique_ptr<std::uint64_t[]> seq_base;  ///< Per seq block.
             std::unique_ptr<std::uint64_t[]> time_ns;   ///< Per ts group.
             std::size_t capacity = 0;
+            /// Linked by the producer before it writes any row here, so a
+            /// reader that saw a row past this chunk's end sees the link.
+            Chunk* next = nullptr;
+
+            /// The first `rows` rows, as recorded by thread `tid`.
+            [[nodiscard]] CaptureBlock view(std::size_t rows,
+                                            ThreadId tid) const noexcept {
+                return CaptureBlock{position.get(), instance.get(),
+                                    size.get(),     op.get(),
+                                    seq_base.get(), time_ns.get(),
+                                    rows,           tid};
+            }
         };
-        std::vector<Chunk> chunks;  // Buffered mode
-        std::size_t fill = 0;       ///< Rows written to chunks.back().
+        Chunk* first = nullptr;  ///< Oldest chunk still held.
+        Chunk* last = nullptr;   ///< The producer's current chunk.
+        std::size_t fill = 0;    ///< Rows written to `last`.
         void grow_chunk();
+        void release_chunks() noexcept;
+        /// Move the delivery cursor to the next chunk (the caller saw a
+        /// published row beyond this one, so the link is visible),
+        /// freeing the exhausted chunk when `release` is set.
+        void next_read_chunk(bool release) noexcept;
         /// The sealed chain's first `events` rows, chunk by chunk.
         void append_blocks(std::uint64_t events,
                            std::vector<CaptureBlock>& out) const;
 
-        std::unique_ptr<SpscRing<AccessEvent>> ring;  // Streaming mode
+        // Published state.
+        std::atomic<std::uint64_t> events{0};     ///< Completed records.
+        std::atomic<std::uint64_t> delivered{0};  ///< Rows handed to sink.
+        std::atomic<bool> sealed{false};          ///< Set by stop().
 
-        // Streaming hot-path state, touched only by the owning thread.
-        std::uint64_t next_seq = 0;       ///< Next seq in the current block.
-        std::uint64_t seq_block_end = 0;  ///< Exclusive end of the block.
-        std::uint64_t last_ts_ns = 0;     ///< Most recent clock reading.
-        std::uint32_t ts_countdown = 0;   ///< Events until the next reading.
-
-        // Published state (read by stop()/collector).
-        std::atomic<std::uint64_t> events{0};  ///< Completed records.
-        std::atomic<bool> sealed{false};       ///< Set by stop().
-        /// Lower bound on the seq of any future event from this channel
-        /// (stored after each record when an event sink is attached);
-        /// the collector's ordered-delivery watermark is the minimum of
-        /// these bounds across channels.
-        std::atomic<std::uint64_t> published{0};
-
-        // Ordered-delivery state, touched only by the collector.
-        std::vector<AccessEvent> pending;  ///< Drained, not yet delivered.
-        std::size_t pending_head = 0;
-        std::uint64_t bound = 0;           ///< published, read pre-drain.
+        // Delivery cursor, touched only by the deliverer (the collector,
+        // then stop()): the chunk and row of the next undelivered row, and
+        // the seq just past the last delivered one.
+        Chunk* read = nullptr;
+        std::size_t read_row = 0;
+        std::uint64_t delivered_end = 0;
 
         Channel* next = nullptr;  ///< Lock-free registration list link.
     };
 
     Channel& channel_for_current_thread();
     void collector_loop(const std::stop_token& st);
-    void drain_all_rings();
-    bool collect_ordered_round();
-    void deliver_ordered(bool final_flush);
-    void buffered_merge_to_sink();
-    void record_streaming(Channel& chan, InstanceId instance, OpKind op,
-                          std::int64_t position, std::uint32_t size) noexcept;
-    [[nodiscard]] std::uint64_t claim_seq_block();
+    std::uint64_t deliver(bool live);
+    void await_collector(const Channel& chan) const noexcept;
+    [[nodiscard]] std::uint64_t claim_seq_block(const Channel& chan);
 
     const CaptureMode mode_;
-    const std::size_t ring_capacity_;
+    /// Undelivered rows per channel at which a Streaming producer waits.
+    const std::size_t max_undelivered_;
     const AnalysisMode analysis_;
     const std::uint64_t token_;  ///< Unique id for thread-local caching.
     /// Trace context of the thread that constructed the session: collector
@@ -288,11 +305,14 @@ private:
 
     EventSink sink_;            ///< Ordered-delivery consumer (may be empty).
     InstanceSink instance_sink_;
-    /// Fast flags mirroring sink_ presence: checked on the hot path
-    /// (record) and every collector round without touching std::function.
+    /// Mirrors sink_ presence for the producers' backpressure check.
     std::atomic<bool> has_sink_{false};
+    /// Set by the collector while the watermark is held by a channel whose
+    /// rows are all delivered (its thread may never record again), so
+    /// waiting producers stop waiting instead of deadlocking on it.
+    std::atomic<bool> stalled_{false};
 
-    std::jthread collector_;  // Streaming mode only.
+    std::jthread collector_;  // Streaming mode with a sink only.
 };
 
 }  // namespace dsspy::runtime

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <set>
 #include <span>
@@ -24,13 +25,25 @@
 namespace dsspy::runtime {
 namespace {
 
-// 8+ producers against deliberately tiny rings: the collector must apply
-// backpressure (capacity 256 << events) yet lose nothing, and the
-// reconciled order must stay deterministic.
+// 8+ producers against a deliberately tiny bound on undelivered rows: the
+// collector must apply backpressure (one seq block << events) yet lose
+// nothing, deliver in ascending seq order, and the reconciled order must
+// stay deterministic.  Producers that finish early leave the watermark at
+// their last row, so the others must also get past that without waiting.
 TEST(CaptureStress, StreamingEightProducersTinyRingsLoseNothing) {
     constexpr int kThreads = 8;
     constexpr int kPerThread = 50'000;
-    ProfilingSession session(CaptureMode::Streaming, /*ring_capacity=*/256);
+    ProfilingSession session(CaptureMode::Streaming, /*max_undelivered=*/256);
+    std::size_t delivered = 0;
+    std::uint64_t last_seq = 0;
+    bool ascending = true;
+    session.set_event_sink([&](std::span<const AccessEvent> ev) {
+        for (const AccessEvent& e : ev) {
+            ascending = ascending && (delivered == 0 || last_seq < e.seq);
+            last_seq = e.seq;
+            ++delivered;
+        }
+    });
     std::vector<InstanceId> ids;
     ids.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t)
@@ -70,6 +83,96 @@ TEST(CaptureStress, StreamingEightProducersTinyRingsLoseNothing) {
     EXPECT_EQ(session.events_recorded(),
               static_cast<std::uint64_t>(kThreads) * kPerThread);
     EXPECT_EQ(session.thread_count(), static_cast<std::size_t>(kThreads));
+    EXPECT_EQ(delivered, static_cast<std::size_t>(kThreads) * kPerThread);
+    EXPECT_TRUE(ascending);
+}
+
+// A thread that records a few events and then stops recording holds the
+// watermark in its open seq block, so nothing recorded after it can be
+// delivered before stop().  A producer past the undelivered bound must go
+// on rather than wait for that thread forever; stop() then delivers
+// everything in order.
+TEST(CaptureStress, StreamingIdleThreadDoesNotStallProducers) {
+    ProfilingSession session(CaptureMode::Streaming, /*max_undelivered=*/1,
+                             AnalysisMode::Incremental);
+    std::vector<AccessEvent> delivered;
+    session.set_event_sink([&delivered](std::span<const AccessEvent> ev) {
+        delivered.insert(delivered.end(), ev.begin(), ev.end());
+    });
+    const InstanceId idle = session.register_instance(
+        DsKind::List, "List<Int64>", {"Idle", "Main", 1});
+    const InstanceId busy = session.register_instance(
+        DsKind::List, "List<Int64>", {"Idle", "Worker", 2});
+    for (int i = 0; i < 10; ++i) session.record(idle, OpKind::Add, i, 1);
+    constexpr int kWorker = 100'000;
+    std::thread worker([&session, busy] {
+        for (int i = 0; i < kWorker; ++i)
+            session.record(busy, OpKind::Add, i, 1);
+    });
+    worker.join();
+    session.stop();
+
+    ASSERT_EQ(delivered.size(), std::size_t{10} + kWorker);
+    for (std::size_t i = 1; i < delivered.size(); ++i)
+        ASSERT_LT(delivered[i - 1].seq, delivered[i].seq) << i;
+}
+
+// A sink that holds on to its first batch stalls the collector.  While it
+// does, the producers must stop at the bound on undelivered rows (rounded
+// up to whole seq blocks, plus the one block a delivery may count before
+// the sink sees it) instead of running ahead; once it lets go, nothing is
+// lost and delivery is strictly ascending in seq.
+TEST(CaptureStress, StreamingSinkBoundsUndeliveredRows) {
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 40'000;
+    constexpr std::uint64_t kBlock = ProfilingSession::kSeqBlockSize;
+    // 3000 rounds up to three seq blocks.
+    ProfilingSession session(CaptureMode::Streaming, /*max_undelivered=*/3000);
+    std::atomic<bool> held{false};
+    std::atomic<bool> release{false};
+    std::vector<AccessEvent> delivered;
+    session.set_event_sink([&](std::span<const AccessEvent> ev) {
+        if (!held.exchange(true, std::memory_order_acq_rel))
+            while (!release.load(std::memory_order_acquire))
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        delivered.insert(delivered.end(), ev.begin(), ev.end());
+    });
+    std::vector<InstanceId> ids;
+    for (int t = 0; t < kThreads; ++t)
+        ids.push_back(session.register_instance(
+            DsKind::List, "List<Int64>",
+            {"Bound", "M", static_cast<std::uint32_t>(t)}));
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&session, &ids, t] {
+            for (int i = 0; i < kPerThread; ++i)
+                session.record(ids[static_cast<std::size_t>(t)], OpKind::Add,
+                               i, 1);
+        });
+    }
+    while (!held.load(std::memory_order_acquire))
+        std::this_thread::yield();
+    const std::uint64_t cap = kThreads * (3 * kBlock + kBlock);
+    std::uint64_t peak = 0;
+    for (int sample = 0; sample < 100; ++sample) {
+        peak = std::max(peak, session.events_recorded());
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    EXPECT_LE(peak, cap);
+    release.store(true, std::memory_order_release);
+    for (auto& th : threads) th.join();
+    session.stop();
+
+    ASSERT_EQ(delivered.size(), static_cast<std::size_t>(kThreads) * kPerThread);
+    std::vector<std::int64_t> next(kThreads, 0);
+    for (std::size_t i = 0; i < delivered.size(); ++i) {
+        if (i > 0) {
+            ASSERT_LT(delivered[i - 1].seq, delivered[i].seq) << i;
+        }
+        const AccessEvent& ev = delivered[i];
+        ASSERT_LT(ev.instance, static_cast<InstanceId>(kThreads));
+        EXPECT_EQ(ev.position, next[ev.instance]++);
+    }
 }
 
 class ReconciliationTest : public ::testing::TestWithParam<CaptureMode> {};
@@ -83,7 +186,7 @@ TEST_P(ReconciliationTest, SharedInstancePreservesPerThreadProgramOrder) {
     // > kSeqBlockSize events per thread so every thread crosses several
     // block boundaries.
     constexpr int kPerThread = 3 * 1024 + 257;
-    ProfilingSession session(GetParam(), /*ring_capacity=*/512);
+    ProfilingSession session(GetParam(), /*max_undelivered=*/512);
     const InstanceId shared = session.register_instance(
         DsKind::List, "List<Int64>", {"Recon", "M", 1});
 
@@ -173,7 +276,7 @@ TEST(CaptureStress, StopGroupsColumnsInSeqOrderInBothModes) {
     constexpr int kTurn = 700;
     for (const CaptureMode mode :
          {CaptureMode::Buffered, CaptureMode::Streaming}) {
-        ProfilingSession session(mode, /*ring_capacity=*/512);
+        ProfilingSession session(mode, /*max_undelivered=*/512);
         std::vector<AccessEvent> delivered;
         session.set_event_sink([&delivered](std::span<const AccessEvent> ev) {
             delivered.insert(delivered.end(), ev.begin(), ev.end());

@@ -13,6 +13,7 @@
 // `batch_tsan` ctest entry re-runs that suite under ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -279,14 +280,22 @@ TEST(PipelineDifferential, TracePostmortemMatchesSeedWiring) {
 TEST(PipelineDifferential, LiveIncrementalMatchesPostmortemReport) {
     // The two engines must classify identically on the same workload
     // (engine bit-identity is pinned elsewhere; here: through RunPlans).
+    // A watch plan is a third input: Streaming capture delivered live by
+    // the collector, yet its terminal report is byte-identical too.
     pipeline::RunPlan post = app_plan("WordWheelSolver", report_only());
     pipeline::RunPlan inc = post;
     inc.engine = pipeline::EngineChoice::Incremental;
+    pipeline::RunPlan watch = post;
+    watch.watch = true;
+    watch.snapshot_interval_ms = 5;
     const Text a = run_plan(post);
     const Text b = run_plan(inc);
+    const Text c = run_plan(watch);
     EXPECT_EQ(a.exit_code, 0);
     EXPECT_EQ(b.exit_code, 0);
+    EXPECT_EQ(c.exit_code, 0);
     EXPECT_EQ(a.out, b.out);
+    EXPECT_EQ(a.out, c.out);
 }
 
 // ---------------------------------------------------------------------------
@@ -312,9 +321,29 @@ TEST(PipelineWatch, SnapshotsFireAndFinalReportEmits) {
     EXPECT_GT(outcome.events, 0u);
     EXPECT_GE(outcome.events, last_folded);
     EXPECT_NE(out.str().find("Use Case"), std::string::npos);
-    // Ticks are timing-dependent; zero is possible only if the workload
-    // beat the first 5ms interval, which the Mandelbrot render never does.
+    // Ticks in between are timing-dependent; the last one, once the
+    // workload has ended, sees every event folded.
     EXPECT_GT(ticks, 0);
+    EXPECT_EQ(last_folded, outcome.events);
+}
+
+TEST(PipelineWatch, ReturnsWhenTheWorkloadEnds) {
+    // The watch waits for the workload, not for the next snapshot: with a
+    // one-minute interval it must still return as soon as the app is done.
+    pipeline::RunPlan plan = app_plan("WordWheelSolver", report_only());
+    plan.watch = true;
+    plan.snapshot_interval_ms = 60'000;
+    int ticks = 0;
+    std::ostringstream out;
+    std::ostringstream err;
+    const pipeline::PipelineRunner runner;
+    const auto start = std::chrono::steady_clock::now();
+    const pipeline::RunOutcome outcome = runner.run(
+        plan, out, err, [&ticks](const pipeline::WatchTick&) { ++ticks; });
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_TRUE(outcome.ok());
+    EXPECT_LT(elapsed, std::chrono::seconds(30));
+    EXPECT_EQ(ticks, 1);  // only the final snapshot
 }
 
 // ---------------------------------------------------------------------------

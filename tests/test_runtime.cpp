@@ -1,70 +1,16 @@
-// Unit tests for dsspy::runtime: SPSC ring, registry, store, session.
+// Unit tests for dsspy::runtime: registry, store, session.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "runtime/instance_registry.hpp"
 #include "runtime/profile_store.hpp"
 #include "runtime/session.hpp"
-#include "runtime/spsc_ring.hpp"
 
 namespace dsspy::runtime {
 namespace {
-
-TEST(SpscRing, PushPopSingleThread) {
-    SpscRing<int> ring(8);
-    EXPECT_TRUE(ring.empty_approx());
-    for (int i = 0; i < 8; ++i) EXPECT_TRUE(ring.try_push(i));
-    EXPECT_FALSE(ring.try_push(99));  // full
-    for (int i = 0; i < 8; ++i) {
-        const auto v = ring.try_pop();
-        ASSERT_TRUE(v.has_value());
-        EXPECT_EQ(*v, i);
-    }
-    EXPECT_FALSE(ring.try_pop().has_value());
-}
-
-TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
-    SpscRing<int> ring(100);
-    EXPECT_EQ(ring.capacity(), 128u);
-}
-
-TEST(SpscRing, BatchedPopPreservesOrder) {
-    SpscRing<int> ring(64);
-    for (int i = 0; i < 50; ++i) ASSERT_TRUE(ring.try_push(i));
-    std::vector<int> out(32);
-    const std::size_t n1 = ring.pop_into(out);
-    EXPECT_EQ(n1, 32u);
-    for (int i = 0; i < 32; ++i) EXPECT_EQ(out[static_cast<size_t>(i)], i);
-    const std::size_t n2 = ring.pop_into(out);
-    EXPECT_EQ(n2, 18u);
-    EXPECT_EQ(out[0], 32);
-}
-
-TEST(SpscRing, ConcurrentProducerConsumer) {
-    SpscRing<std::uint64_t> ring(1024);
-    constexpr std::uint64_t kCount = 200'000;
-    std::thread producer([&ring] {
-        for (std::uint64_t i = 0; i < kCount; ++i) {
-            while (!ring.try_push(i)) std::this_thread::yield();
-        }
-    });
-    std::uint64_t expected = 0;
-    std::uint64_t sum = 0;
-    while (expected < kCount) {
-        const auto v = ring.try_pop();
-        if (!v) {
-            std::this_thread::yield();
-            continue;
-        }
-        EXPECT_EQ(*v, expected);  // FIFO order, no loss, no duplication
-        sum += *v;
-        ++expected;
-    }
-    producer.join();
-    EXPECT_EQ(sum, kCount * (kCount - 1) / 2);
-}
 
 TEST(InstanceRegistry, RegisterAndLookup) {
     InstanceRegistry registry;
@@ -195,9 +141,14 @@ INSTANTIATE_TEST_SUITE_P(BothModes, SessionModeTest,
                          });
 
 TEST(Session, StreamingBackpressureLosesNothingWithTinyRings) {
-    // A deliberately undersized ring forces the producers to block on the
-    // collector; every event must still arrive exactly once.
-    ProfilingSession session(CaptureMode::Streaming, /*ring_capacity=*/4);
+    // A deliberately small bound on undelivered rows (one seq block) makes
+    // the producers wait on the collector; every event must still arrive
+    // exactly once, at the sink and in the store.
+    ProfilingSession session(CaptureMode::Streaming, /*max_undelivered=*/4);
+    std::size_t delivered = 0;
+    session.set_event_sink([&delivered](std::span<const AccessEvent> ev) {
+        delivered += ev.size();
+    });
     constexpr int kThreads = 3;
     constexpr int kPerThread = 20'000;
     std::vector<InstanceId> ids;
@@ -215,6 +166,7 @@ TEST(Session, StreamingBackpressureLosesNothingWithTinyRings) {
     }
     for (auto& th : threads) th.join();
     session.stop();
+    EXPECT_EQ(delivered, static_cast<std::size_t>(kThreads) * kPerThread);
     for (const InstanceId id : ids) {
         const auto events = session.store().events(id);
         ASSERT_EQ(events.size(), static_cast<std::size_t>(kPerThread));
