@@ -6,6 +6,7 @@
 // over a mixed workload and reports pattern counts plus detector runtime.
 #include <iostream>
 
+#include "core/column_analysis.hpp"
 #include "core/dsspy.hpp"
 #include "ds/ds.hpp"
 #include "support/rng.hpp"
@@ -36,9 +37,12 @@ int main() {
     }
     session.stop();
 
-    const std::vector<runtime::AccessEvent> events =
-        session.store().events(id);
-    const core::RuntimeProfile profile(session.registry().info(id), events);
+    const runtime::ColumnStore& store = session.store();
+    const std::vector<std::uint8_t> types = core::access_types(store);
+    const core::ColumnSlice slice =
+        core::make_slice(store, store.range(id), types.data());
+    const core::RuntimeProfile profile(session.registry().info(id),
+                                       core::aggregates_from_columns(slice));
 
     std::cout << "Ablation - minimum pattern length over a mixed workload ("
               << profile.total_events() << " events; streak lengths "
@@ -49,13 +53,12 @@ int main() {
     for (const std::size_t min_len : {2u, 3u, 4u, 6u, 9u, 17u, 65u}) {
         core::DetectorConfig config;
         config.min_pattern_events = min_len;
-        const core::PatternDetector detector(config);
 
         support::Stopwatch sw;
         std::vector<core::Pattern> patterns;
         constexpr int kReps = 50;
         for (int rep = 0; rep < kReps; ++rep)
-            patterns = detector.detect(events);
+            patterns = core::detect_patterns_columns(slice, config);
         const double us = sw.elapsed_ns() / 1e3 / kReps;
 
         std::size_t covered = 0;

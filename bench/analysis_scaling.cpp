@@ -16,14 +16,15 @@
 // the emitted JSON carries the identity flags next to the timings, plus
 // hardware/provenance fields (hardware_concurrency, the --threads setting,
 // the active SIMD level).  The same harness also times the one grouping
-// pass (ProfileStore::finalize -> ColumnStore::group) that builds the
-// columns from the staged events.
+// pass (ColumnStore::group) that builds the columns from the synthesized
+// events.
 //
 // Usage: analysis_scaling [output.json] [rounds]
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,7 +32,7 @@
 #include "core/detector_kernels.hpp"
 #include "core/dsspy.hpp"
 #include "parallel/thread_pool.hpp"
-#include "runtime/profile_store.hpp"
+#include "runtime/column_store.hpp"
 
 namespace {
 
@@ -128,9 +129,8 @@ int main(int argc, char** argv) {
 
     // --- build the synthetic corpus ----------------------------------------
     std::vector<runtime::InstanceInfo> instances;
-    runtime::ProfileStore store;
     std::uint64_t seq = 0;
-    std::vector<runtime::AccessEvent> scratch;
+    std::vector<runtime::AccessEvent> events;
     for (std::size_t inst = 0; inst < kInstances; ++inst) {
         runtime::InstanceInfo info;
         info.id = static_cast<runtime::InstanceId>(inst);
@@ -140,15 +140,15 @@ int main(int argc, char** argv) {
         info.location = {"Synthetic", "Workload",
                          static_cast<std::uint32_t>(inst)};
         instances.push_back(std::move(info));
-        scratch.clear();
-        synthesize_instance(inst, seq, scratch);
-        store.append(scratch);
+        synthesize_instance(inst, seq, events);
     }
 
-    // --- grouping: staged events -> columns (runs once) ---------------------
+    // --- grouping: synthesized events -> columns (runs once) ----------------
     const auto group_t0 = Clock::now();
-    store.finalize();
+    const std::span<const runtime::AccessEvent> rows(events);
+    const runtime::ColumnStore store = runtime::ColumnStore::group({&rows, 1});
     const double group_ms = ms_between(group_t0, Clock::now());
+    events = {};  // the columns hold every event now
 
     // --- AoS reference baseline (the seed implementation) ------------------
     const core::Dsspy analyzer;

@@ -8,6 +8,7 @@
 // SVG rendition to figure2_profile.svg.
 #include <iostream>
 
+#include "core/column_analysis.hpp"
 #include "core/dsspy.hpp"
 #include "ds/ds.hpp"
 #include "support/table.hpp"
@@ -31,15 +32,19 @@ int main() {
     }
     session.stop();
 
-    const std::vector<runtime::AccessEvent> events =
-        session.store().events(id);
-    const core::RuntimeProfile profile(session.registry().info(id), events);
+    const runtime::ColumnStore& store = session.store();
+    const runtime::ColumnRange range = store.range(id);
+    const std::vector<std::uint8_t> types = core::access_types(store);
+    const core::ColumnSlice slice =
+        core::make_slice(store, range, types.data());
+    const core::RuntimeProfile profile(session.registry().info(id),
+                                       core::aggregates_from_columns(slice));
 
     std::cout << "Figure 2 - Runtime profile for the example list\n\n";
     Table table({"#", "Op", "Type", "Position", "Size", "Thread"});
-    std::size_t i = 0;
-    for (const runtime::AccessEvent& ev : events) {
-        table.add_row({std::to_string(i++),
+    for (std::size_t r = range.begin; r < range.end; ++r) {
+        const runtime::AccessEvent ev = store.row(r);
+        table.add_row({std::to_string(r - range.begin),
                        std::string(runtime::op_name(ev.op)),
                        std::string(core::access_type_name(
                            core::derive_access_type(ev.op))),
@@ -53,16 +58,15 @@ int main() {
     viz::ChartOptions options;
     options.max_width = 40;
     options.max_height = 11;
-    std::cout << viz::render_profile_bars(profile, session.store().columns(),
-                                         options);
+    std::cout << viz::render_profile_bars(profile, store, options);
 
-    const std::string svg =
-        viz::profile_to_svg(profile, session.store().columns());
+    const std::string svg = viz::profile_to_svg(profile, store);
     if (viz::write_file("figure2_profile.svg", svg))
         std::cout << "\nWrote figure2_profile.svg\n";
 
     // The two patterns the paper points out in this profile.
-    const auto patterns = core::PatternDetector{}.detect(events);
+    const auto patterns =
+        core::detect_patterns_columns(slice, core::DetectorConfig{});
     std::cout << "\nDetected patterns (paper: two separate access "
                  "patterns):\n";
     for (const core::Pattern& p : patterns)

@@ -10,6 +10,7 @@
 // derives from it.
 #include <iostream>
 
+#include "core/column_analysis.hpp"
 #include "core/dsspy.hpp"
 #include "core/report.hpp"
 #include "ds/ds.hpp"
@@ -38,23 +39,25 @@ int main() {
     }
     session.stop();
 
-    const std::vector<runtime::AccessEvent> events =
-        session.store().events(id);
-    const core::RuntimeProfile profile(session.registry().info(id), events);
+    const runtime::ColumnStore& store = session.store();
+    const std::vector<std::uint8_t> types = core::access_types(store);
+    const core::ColumnSlice slice =
+        core::make_slice(store, store.range(id), types.data());
+    const core::RuntimeProfile profile(session.registry().info(id),
+                                       core::aggregates_from_columns(slice));
 
     std::cout << "Figure 3 - Index-sequential inserts and reads\n\n";
     viz::ChartOptions options;
     options.max_width = 110;
     options.max_height = 14;
-    std::cout << viz::render_profile_scatter(
-        profile, session.store().columns(), options);
+    std::cout << viz::render_profile_scatter(profile, store, options);
 
-    const std::string svg =
-        viz::profile_to_svg(profile, session.store().columns());
+    const std::string svg = viz::profile_to_svg(profile, store);
     if (viz::write_file("figure3_profile.svg", svg))
         std::cout << "\nWrote figure3_profile.svg\n";
 
-    const auto patterns = core::PatternDetector{}.detect(events);
+    const auto patterns =
+        core::detect_patterns_columns(slice, core::DetectorConfig{});
     std::size_t insert_back = 0;
     std::size_t read_forward = 0;
     for (const core::Pattern& p : patterns) {

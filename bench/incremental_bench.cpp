@@ -7,7 +7,8 @@
 // clean) and records each child's peak RSS via wait4()'s rusage:
 //
 //   * postmortem_buffered  — Buffered capture, store everything, analyze.
-//   * postmortem_streaming — Streaming capture, store everything, analyze.
+//   * postmortem_streaming — Streaming capture with a counting event sink
+//     (the sink starts the live collector), store everything, analyze.
 //   * incremental_streaming — Streaming capture, AnalysisMode::Incremental
 //     with an attached IncrementalAnalyzer; the store stays empty.
 //
@@ -15,7 +16,8 @@
 // report, summaries, CSVs); the parent asserts all three digests are
 // identical — the memory saving is only interesting if the verdicts are
 // bit-identical — and writes BENCH_incremental.json with peak-RSS and
-// events/sec per mode plus the postmortem/incremental RSS ratio.
+// events/sec per mode plus the postmortem/incremental RSS ratio and the
+// host provenance (bench/provenance.hpp).
 //
 // Usage: incremental_bench [output.json] [events]
 #include <sys/resource.h>
@@ -27,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -35,6 +38,7 @@
 #include "core/export.hpp"
 #include "core/incremental.hpp"
 #include "core/report.hpp"
+#include "provenance.hpp"
 #include "runtime/session.hpp"
 
 namespace {
@@ -165,8 +169,22 @@ int run_child(const std::string& mode, std::uint64_t events) {
             mode == "postmortem_streaming" ? runtime::CaptureMode::Streaming
                                            : runtime::CaptureMode::Buffered;
         runtime::ProfilingSession session(capture);
+        std::uint64_t delivered = 0;
+        if (capture == runtime::CaptureMode::Streaming)
+            session.set_event_sink(
+                [&delivered](std::span<const runtime::AccessEvent> ev) {
+                    delivered += ev.size();
+                });
         drive_workload(session, events);
         session.stop();
+        if (capture == runtime::CaptureMode::Streaming &&
+            delivered != session.events_recorded()) {
+            std::fprintf(stderr, "streaming sink saw %llu of %llu events\n",
+                         static_cast<unsigned long long>(delivered),
+                         static_cast<unsigned long long>(
+                             session.events_recorded()));
+            return 1;
+        }
         const core::AnalysisResult result = core::Dsspy{}.analyze(session);
         report_digest = digest(result);
         flagged = result.flagged_instances();
@@ -319,6 +337,7 @@ int main(int argc, char** argv) {
     std::fprintf(out, "  \"flagged_instances\": %zu,\n",
                  results.front().flagged);
     std::fprintf(out, "  \"peak_rss_reduction\": %.2f,\n", reduction);
+    std::fputs(bench::provenance_json().c_str(), out);
     std::fprintf(out, "  \"modes\": {\n");
     for (std::size_t i = 0; i < results.size(); ++i) {
         const ModeResult& r = results[i];

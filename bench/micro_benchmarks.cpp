@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/column_analysis.hpp"
 #include "core/dsspy.hpp"
 #include "ds/ds.hpp"
 #include "parallel/algorithms.hpp"
@@ -117,15 +118,17 @@ void BM_PatternDetection(benchmark::State& state) {
         id = list.instance_id();
     }
     session.stop();
-    const std::vector<runtime::AccessEvent> events =
-        session.store().events(id);
-    const core::PatternDetector detector;
+    const runtime::ColumnStore& store = session.store();
+    const std::vector<std::uint8_t> types = core::access_types(store);
+    const core::ColumnSlice slice =
+        core::make_slice(store, store.range(id), types.data());
+    const core::DetectorConfig config;
     for (auto _ : state) {
-        auto patterns = detector.detect(events);
+        auto patterns = core::detect_patterns_columns(slice, config);
         benchmark::DoNotOptimize(patterns.data());
     }
     state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(events.size()));
+                            static_cast<std::int64_t>(slice.n));
 }
 BENCHMARK(BM_PatternDetection)->Arg(1 << 12)->Arg(1 << 16);
 

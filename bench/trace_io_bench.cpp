@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -53,8 +54,8 @@ Trace build_trace(std::size_t target_events) {
         trace.instances.push_back(std::move(info));
     }
 
-    std::vector<AccessEvent> batch;
-    batch.reserve(1 << 16);
+    std::vector<AccessEvent> events;
+    events.reserve(target_events);
     std::uint64_t seq = 0;
     std::uint64_t time_ns = 1'000'000'000;
     const auto emit = [&](InstanceId inst, OpKind op, std::int64_t pos,
@@ -68,11 +69,7 @@ Trace build_trace(std::size_t target_events) {
         ev.position = pos;
         ev.size = size;
         ev.thread = thread;
-        batch.push_back(ev);
-        if (batch.size() == batch.capacity()) {
-            trace.store.append(batch);
-            batch.clear();
-        }
+        events.push_back(ev);
     };
 
     std::size_t round = 0;
@@ -93,9 +90,27 @@ Trace build_trace(std::size_t target_events) {
         if (round % 3 == 2) emit(inst, OpKind::Clear, -1, 0, thread);
         ++round;
     }
-    trace.store.append(batch);
-    trace.store.finalize();
+    const std::span<const AccessEvent> rows(events);
+    trace.store = runtime::ColumnStore::group({&rows, 1});
     return trace;
+}
+
+/// True when two stores hold the same ranges and column bytes.
+bool same_columns(const runtime::ColumnStore& a,
+                  const runtime::ColumnStore& b) {
+    const std::size_t n = a.total_events();
+    if (n != b.total_events() || a.instance_slots() != b.instance_slots())
+        return false;
+    for (InstanceId id = 0; id < a.instance_slots(); ++id)
+        if (a.range(id).begin != b.range(id).begin ||
+            a.range(id).end != b.range(id).end)
+            return false;
+    const auto same = [n](const auto* x, const auto* y) {
+        return std::equal(x, x + n, y);
+    };
+    return same(a.seq(), b.seq()) && same(a.time_ns(), b.time_ns()) &&
+           same(a.position(), b.position()) && same(a.sizes(), b.sizes()) &&
+           same(a.op(), b.op()) && same(a.thread(), b.thread());
 }
 
 double ms_since(Clock::time_point t0) {
@@ -174,14 +189,7 @@ int main(int argc, char** argv) {
         const Trace seq_trace = runtime::read_trace(seq_in);
         const Trace par_trace = runtime::read_trace(par_in, &pool);
         par_identical = seq_trace.instances == par_trace.instances &&
-                        seq_trace.store.total_events() ==
-                            par_trace.store.total_events();
-        for (std::size_t id = 0;
-             par_identical && id < seq_trace.store.instance_slots(); ++id) {
-            const auto a = seq_trace.store.events(static_cast<InstanceId>(id));
-            const auto b = par_trace.store.events(static_cast<InstanceId>(id));
-            par_identical = std::equal(a.begin(), a.end(), b.begin(), b.end());
-        }
+                        same_columns(seq_trace.store, par_trace.store);
     }
 
     const double ev = static_cast<double>(total);

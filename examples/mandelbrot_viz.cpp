@@ -29,7 +29,7 @@ int main() {
         options.max_width = 100;
         options.max_height = 10;
         options.show_legend = false;
-        viz::print_profile(std::cout, ia.profile, session.store().columns(),
+        viz::print_profile(std::cout, ia.profile, session.store(),
                            options);
         for (const core::UseCase& uc : ia.use_cases)
             std::cout << "  -> " << core::use_case_name(uc.kind) << ": "
@@ -41,7 +41,7 @@ int main() {
     for (const core::InstanceAnalysis& ia : analysis.instances()) {
         if (ia.profile.info().location.method == "RenderImage") {
             const std::string svg =
-                viz::profile_to_svg(ia.profile, session.store().columns());
+                viz::profile_to_svg(ia.profile, session.store());
             if (viz::write_file("mandelbrot_profile.svg", svg))
                 std::cout << "Wrote mandelbrot_profile.svg ("
                           << svg.size() << " bytes)\n";

@@ -51,7 +51,7 @@ int main() {
         viz::ChartOptions options;
         options.max_width = 96;
         options.max_height = 12;
-        viz::print_profile(std::cout, ia.profile, session.store().columns(),
+        viz::print_profile(std::cout, ia.profile, session.store(),
                            options);
         std::cout << '\n';
     }

@@ -102,6 +102,12 @@ std::size_t run_streak(const ColumnSlice& s, std::size_t i,
 
 }  // namespace
 
+std::vector<std::uint8_t> access_types(const runtime::ColumnStore& store) {
+    std::vector<std::uint8_t> types(store.total_events());
+    kernels::derive_types(store.op(), store.total_events(), types.data());
+    return types;
+}
+
 ColumnSlice make_slice(const runtime::ColumnStore& store,
                        runtime::ColumnRange range,
                        const std::uint8_t* types_base) {

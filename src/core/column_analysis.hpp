@@ -35,6 +35,12 @@ struct ColumnSlice {
     std::size_t n = 0;
 };
 
+/// The derived access-type column of a whole store (kernels::derive_types
+/// over its op column), indexed like the other columns: the `types_base`
+/// make_slice takes.
+[[nodiscard]] std::vector<std::uint8_t> access_types(
+    const runtime::ColumnStore& store);
+
 /// Slice one instance's range out of the store.  `types_base` indexes the
 /// whole store like the other columns (row 0 = store row 0).
 [[nodiscard]] ColumnSlice make_slice(const runtime::ColumnStore& store,

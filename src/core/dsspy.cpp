@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/column_analysis.hpp"
-#include "core/detector_kernels.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/parallel_for.hpp"
@@ -52,18 +51,6 @@ AnalysisResult Dsspy::analyze(const runtime::ProfilingSession& session,
 
 AnalysisResult Dsspy::analyze(
     const std::vector<runtime::InstanceInfo>& instances,
-    const runtime::ProfileStore& store, par::ThreadPool* pool) const {
-    return analyze_columns_impl(instances, store.columns(), pool);
-}
-
-AnalysisResult Dsspy::analyze(
-    const std::vector<runtime::InstanceInfo>& instances,
-    const runtime::ColumnStore& columns, par::ThreadPool* pool) const {
-    return analyze_columns_impl(instances, columns, pool);
-}
-
-AnalysisResult Dsspy::analyze_columns_impl(
-    const std::vector<runtime::InstanceInfo>& instances,
     const runtime::ColumnStore& columns, par::ThreadPool* pool) const {
     DSSPY_TRACE_SPAN("analyze.total");
     AnalysisResult result;
@@ -79,8 +66,7 @@ AnalysisResult Dsspy::analyze_columns_impl(
     // Derived access types for the whole store, computed once and shared
     // read-only by every shard (one pshufb pass instead of a per-event
     // switch in every kernel downstream).
-    std::vector<std::uint8_t> types(columns.total_events());
-    kernels::derive_types(columns.op(), columns.total_events(), types.data());
+    const std::vector<std::uint8_t> types = access_types(columns);
 
     // Each instance is independent (stateless detector/engine, read-only
     // store) and writes only its pre-sized slot, so the parallel loop is
@@ -152,13 +138,26 @@ AnalysisResult Dsspy::analyze_columns_impl(
     return result;
 }
 
+std::vector<runtime::AccessEvent> instance_events(
+    const runtime::ColumnStore& columns, runtime::InstanceId id) {
+    const runtime::ColumnRange range = columns.range(id);
+    std::vector<runtime::AccessEvent> out;
+    out.reserve(range.size());
+    for (std::size_t r = range.begin; r < range.end; ++r) {
+        runtime::AccessEvent ev = columns.row(r);
+        ev.instance = id;
+        out.push_back(ev);
+    }
+    return out;
+}
+
 AnalysisResult Dsspy::analyze_reference(
     const std::vector<runtime::InstanceInfo>& instances,
-    const runtime::ProfileStore& store, par::ThreadPool* pool) const {
+    const runtime::ColumnStore& columns, par::ThreadPool* pool) const {
     DSSPY_TRACE_SPAN("analyze.total");
     AnalysisResult result;
     result.total_instances_ = instances.size();
-    result.total_events_ = store.total_events();
+    result.total_events_ = columns.total_events();
 
     for (const runtime::InstanceInfo& info : instances) {
         if (info.kind == runtime::DsKind::List ||
@@ -177,7 +176,7 @@ AnalysisResult Dsspy::analyze_reference(
             const runtime::InstanceInfo& info = instances[i];
             InstanceAnalysis& ia = result.instances_[i];
             const std::vector<runtime::AccessEvent> events =
-                store.events(info.id);
+                instance_events(columns, info.id);
             ia.profile = RuntimeProfile(info, events);
             ia.patterns = detector_.detect(events);
             ia.use_cases = engine_.classify(ia.profile, events, ia.patterns);

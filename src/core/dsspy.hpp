@@ -88,6 +88,12 @@ private:
     std::size_t total_events_ = 0;
 };
 
+/// One instance's rows of `columns` rebuilt as AccessEvent records, in
+/// ascending seq (empty when the id is unknown or silent).  The per-event
+/// form analyze_reference reads; tests use it to inspect a store.
+[[nodiscard]] std::vector<runtime::AccessEvent> instance_events(
+    const runtime::ColumnStore& columns, runtime::InstanceId id);
+
 /// The analyzer.  Stateless apart from its configuration; reusable.
 class Dsspy {
 public:
@@ -103,29 +109,24 @@ public:
         const runtime::ProfilingSession& session,
         par::ThreadPool* pool = nullptr) const;
 
-    /// Analyze explicit instance metadata + a store (e.g. a trace
-    /// deserialized with runtime::read_trace).  Runs over the store's
-    /// columns with the vectorized kernels (DESIGN.md §11).
-    [[nodiscard]] AnalysisResult analyze(
-        const std::vector<runtime::InstanceInfo>& instances,
-        const runtime::ProfileStore& store,
-        par::ThreadPool* pool = nullptr) const;
-
-    /// Analyze a bare columnar store (the zero-copy DST1 path,
-    /// runtime::read_trace_columns).
+    /// Analyze explicit instance metadata + a store (a trace read with
+    /// runtime::read_trace or the zero-copy DST1 path,
+    /// runtime::read_trace_columns).  Runs over the store's columns with
+    /// the vectorized kernels (DESIGN.md §11).
     [[nodiscard]] AnalysisResult analyze(
         const std::vector<runtime::InstanceInfo>& instances,
         const runtime::ColumnStore& columns,
         par::ThreadPool* pool = nullptr) const;
 
     /// The pre-columnar per-event implementation, kept as the differential
-    /// reference: each instance's rows rebuilt as AccessEvent records,
-    /// per-event RuntimeProfile construction, per-step pattern machine,
-    /// instance-count work partitioning.  The differential suite and the
-    /// benchmark baseline compare analyze() against this.
+    /// reference: each instance's rows rebuilt as AccessEvent records
+    /// (instance_events), per-event RuntimeProfile construction, per-step
+    /// pattern machine, instance-count work partitioning.  The
+    /// differential suite and the benchmark baseline compare analyze()
+    /// against this.
     [[nodiscard]] AnalysisResult analyze_reference(
         const std::vector<runtime::InstanceInfo>& instances,
-        const runtime::ProfileStore& store,
+        const runtime::ColumnStore& columns,
         par::ThreadPool* pool = nullptr) const;
 
     /// Live snapshot of an incremental analyzer attached to a running
@@ -150,10 +151,6 @@ public:
     }
 
 private:
-    [[nodiscard]] AnalysisResult analyze_columns_impl(
-        const std::vector<runtime::InstanceInfo>& instances,
-        const runtime::ColumnStore& columns, par::ThreadPool* pool) const;
-
     DetectorConfig config_;
     PatternDetector detector_;
     UseCaseEngine engine_;

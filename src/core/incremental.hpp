@@ -15,8 +15,8 @@
 // (tests/test_incremental.cpp holds this over every app and corpus
 // workload).
 //
-// Contract: events must be folded in per-instance seq order (the order the
-// finalized ProfileStore would present).  ProfilingSession's incremental
+// Contract: events must be folded in per-instance seq order (the order a
+// session's grouped ColumnStore presents).  ProfilingSession's incremental
 // sink, trace files written by write_trace, and per-instance replays all
 // satisfy this.  Instance metadata should be declared before (or with) the
 // instance's first event so Array-specific rules see the right kind.

@@ -180,7 +180,7 @@ public:
               std::ostream& err) override {
         if (!outcome.analysis || outcome.store() == nullptr) return true;
         if (viz::write_html_report_file(path_, *outcome.analysis,
-                                        outcome.store()->columns())) {
+                                        *outcome.store())) {
             err << "Wrote " << path_ << '\n';
             return true;
         }

@@ -154,7 +154,7 @@ struct RunOutcome {
 
     /// The store `analysis` was computed from (null when neither backing
     /// is engaged).
-    [[nodiscard]] const runtime::ProfileStore* store() const noexcept {
+    [[nodiscard]] const runtime::ColumnStore* store() const noexcept {
         if (session) return &session->store();
         return trace ? &trace->store : nullptr;
     }

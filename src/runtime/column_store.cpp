@@ -119,11 +119,6 @@ ColumnStore ColumnStore::group(ColumnStore rows,
     return rows;
 }
 
-void ColumnStore::clear() {
-    resize(0);
-    ranges_.clear();
-}
-
 void ColumnStore::resize(std::size_t rows) {
     seq_.resize(rows);
     time_ns_.resize(rows);

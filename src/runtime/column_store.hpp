@@ -8,11 +8,12 @@
 // Detector kernels (core/detector_kernels.hpp) then stream exactly the
 // bytes they need, and the SIMD paths get unit-stride loads for free.
 //
-// Every producer builds it through one grouping routine, ColumnStore::group:
+// It is the only stored form of events: capture sessions, traces and the
+// analysis hold it directly.  Every producer builds it through one
+// grouping routine, ColumnStore::group:
 //   * capture stop() — straight out of the sealed per-thread chunks in
-//     their compact form (CaptureBlock), or the batches a Streaming
-//     collector staged, via ProfileStore;
-//   * the CSV trace reader — from its parsed event batches;
+//     their compact form (CaptureBlock), in both capture modes;
+//   * the CSV trace reader — from its parsed rows, in one call;
 //   * the DST1 column decoder (trace_mmap.hpp) — from decoded rows.
 #pragma once
 
@@ -104,9 +105,6 @@ public:
     /// they are; only the ranges are computed.
     [[nodiscard]] static ColumnStore group(
         ColumnStore rows, std::span<const InstanceId> instances);
-
-    /// Discard all rows and ranges.
-    void clear();
 
     /// Size all columns for `rows` ungrouped rows (decoder step: fill them
     /// through the mutable column pointers, then group()).

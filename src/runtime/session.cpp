@@ -482,7 +482,7 @@ void ProfilingSession::stop() {
                  chan != nullptr; chan = chan->next)
                 chan->append_blocks(
                     chan->events.load(std::memory_order_acquire), blocks);
-            store_ = ProfileStore(ColumnStore::group(blocks));
+            store_ = ColumnStore::group(blocks);
         }
         // The store now holds every event; the chunks go.
         for (Channel* chan = channels_head_.load(std::memory_order_acquire);
@@ -505,13 +505,16 @@ void ProfilingSession::stop() {
                                            1e9 / static_cast<double>(wall));
             reg.gauge_max(m.events_per_sec, rate);
         }
-        const std::size_t orphans = store_.orphan_events(registry_.size());
+        const std::size_t orphans = orphan_events();
         if (orphans > 0) reg.add(m.orphan_events, orphans);
     }
 }
 
 std::size_t ProfilingSession::orphan_events() const {
-    return store_.orphan_events(registry_.size());
+    std::size_t orphans = 0;
+    for (std::size_t id = registry_.size(); id < store_.instance_slots(); ++id)
+        orphans += store_.range(static_cast<InstanceId>(id)).size();
+    return orphans;
 }
 
 std::size_t ProfilingSession::thread_count() const noexcept {

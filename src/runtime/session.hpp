@@ -1,5 +1,6 @@
 // Profiling session: owns the instance registry, the per-thread event
-// channels, the asynchronous collector, and the post-mortem profile store.
+// channels, the asynchronous collector, and the post-mortem event store
+// (a ColumnStore, grouped at stop()).
 //
 // This is the C++ equivalent of DSspy's dynamic-analysis module.  The paper
 // runs analysis "in a separate process which receives the runtime
@@ -9,7 +10,7 @@
 // sink: a dedicated collector thread delivers them live while producers
 // append (`CaptureMode::Streaming`), or stop() delivers them all at once
 // (`CaptureMode::Buffered`).  Both modes record through the same record()
-// and produce an identical ProfileStore; the micro benches compare their
+// and produce an identical ColumnStore; the micro benches compare their
 // overhead.
 //
 // Hot-path design (the paper reports an average 47x capture slowdown; this
@@ -63,11 +64,10 @@
 #include "runtime/access_event.hpp"
 #include "runtime/column_store.hpp"
 #include "runtime/instance_registry.hpp"
-#include "runtime/profile_store.hpp"
 
 namespace dsspy::runtime {
 
-/// How events travel from the mutator threads to the ProfileStore.
+/// How events travel from the mutator threads to the event store.
 enum class CaptureMode {
     Buffered,   ///< Per-thread chunk chains, merged at stop().
     Streaming,  ///< The same chains, delivered live by a collector thread.
@@ -75,7 +75,7 @@ enum class CaptureMode {
 
 /// What happens to events once captured (DESIGN.md §8).
 enum class AnalysisMode {
-    /// Retain every event in the ProfileStore for post-mortem analysis.
+    /// Retain every event in the store for post-mortem analysis.
     Postmortem,
     /// Events are handed to the event sink as they drain and are NOT
     /// retained: the store stays empty and memory is bounded by the
@@ -183,8 +183,9 @@ public:
     /// starts; runs on the registering thread.
     void set_instance_sink(InstanceSink sink);
 
-    /// The recorded profiles.  Call after `stop()`.
-    [[nodiscard]] const ProfileStore& store() const noexcept { return store_; }
+    /// The recorded events, grouped by instance.  Empty until `stop()`,
+    /// and always empty in AnalysisMode::Incremental.
+    [[nodiscard]] const ColumnStore& store() const noexcept { return store_; }
 
     [[nodiscard]] const InstanceRegistry& registry() const noexcept {
         return registry_;
@@ -207,8 +208,9 @@ public:
     }
 
     /// Events stored against instance ids the registry never issued
-    /// (store-only "orphans"; see ProfileStore::orphan_events).  Exact
-    /// after stop().
+    /// (store-only "orphans": registry ids are dense, so these are the
+    /// rows at or past the registered count; trace writers persist them
+    /// too, see trace_io.hpp).  Exact after stop().
     [[nodiscard]] std::size_t orphan_events() const;
 
 private:
@@ -289,7 +291,7 @@ private:
     const obs::TraceContext trace_ctx_;
 
     InstanceRegistry registry_;
-    ProfileStore store_;
+    ColumnStore store_;
 
     std::atomic<std::uint64_t> seq_alloc_{0};  ///< Next unissued seq block.
     std::atomic<std::uint32_t> next_tid_{0};

@@ -281,8 +281,7 @@ bool is_binary_trace(std::string_view bytes) {
 
 std::size_t write_trace_binary(std::ostream& os,
                                const std::vector<InstanceInfo>& instances,
-                               const ProfileStore& store) {
-    const ColumnStore& columns = store.columns();
+                               const ColumnStore& columns) {
     const std::vector<InstanceId> order =
         detail::event_write_order(instances, columns);
     std::uint64_t event_count = 0;

@@ -62,7 +62,7 @@ inline constexpr std::size_t kTraceBinaryChunkEvents = 64 * 1024;
 /// written.  Event sequences are emitted in `detail::event_write_order`.
 std::size_t write_trace_binary(std::ostream& os,
                                const std::vector<InstanceInfo>& instances,
-                               const ProfileStore& store);
+                               const ColumnStore& columns);
 
 /// True if `bytes` starts with the DST1 magic.
 [[nodiscard]] bool is_binary_trace(std::string_view bytes);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -105,8 +106,8 @@ T parse_number(std::string_view field, const char* what) {
 /// twice (no net change), so quoted fields may span physical lines — and,
 /// here, buffer refills: the quote state and any partial record carry over
 /// between feed() calls, so a boundary can fall anywhere (even between the
-/// two '"' of an escaped quote) without changing what is parsed.  Both the
-/// slurped read_trace path and the streaming reader run on this scanner.
+/// two '"' of an escaped quote) without changing what is parsed.
+/// read_trace and read_trace_stream both read CSV through this scanner.
 class CsvRecordScanner {
 public:
     /// Scan `chunk`, invoking `emit(std::string_view record)` for every
@@ -206,24 +207,30 @@ std::size_t parse_csv_record(std::string_view line, TraceSink& sink,
                              "'");
 }
 
-/// Builds an in-memory Trace from sink callbacks (the slurped path).
-class TraceBuildSink final : public TraceSink {
-public:
-    void on_instance(const InstanceInfo& info) override {
-        trace.instances.push_back(info);
-    }
-    void on_events(std::span<const AccessEvent> events) override {
-        trace.store.append(events);
-    }
-    Trace trace;
-};
+/// Count one completed read in the self-telemetry registry.
+void count_read(std::size_t bytes, std::size_t events) {
+    if (!obs::enabled()) return;
+    auto& reg = obs::MetricsRegistry::global();
+    reg.add(trace_metrics().bytes_read, bytes);
+    reg.add(trace_metrics().events_read, events);
+}
+
+/// Up to `bytes` leading bytes of `is`: the format sniff's probe, handed
+/// on to the chosen reader so no byte is read twice.
+std::string read_prefix(std::istream& is, std::size_t bytes) {
+    std::string prefix(bytes, '\0');
+    is.read(prefix.data(), static_cast<std::streamsize>(bytes));
+    prefix.resize(static_cast<std::size_t>(is.gcount()));
+    if (is.bad())
+        throw std::runtime_error("trace_io: I/O error while reading trace");
+    return prefix;
+}
 
 std::size_t write_trace_csv(std::ostream& os,
                             const std::vector<InstanceInfo>& instances,
-                            const ProfileStore& store) {
+                            const ColumnStore& columns) {
     for (const InstanceInfo& info : instances)
         detail::write_csv_instance_record(os, info);
-    const ColumnStore& columns = store.columns();
     std::size_t events = 0;
     for (const InstanceId id : detail::event_write_order(instances, columns)) {
         const ColumnRange range = columns.range(id);
@@ -241,25 +248,30 @@ std::size_t write_trace_csv(std::ostream& os,
 Trace as_trace(ColumnTrace decoded) {
     Trace trace;
     trace.instances = std::move(decoded.instances);
-    trace.store = ProfileStore(std::move(decoded.columns));
+    trace.store = std::move(decoded.columns);
     return trace;
 }
 
-Trace read_trace_csv(const std::string& data) {
-    TraceBuildSink sink;
-    std::vector<AccessEvent> batch;
-    batch.reserve(1024);
-    CsvRecordScanner scanner;
-    const auto handle = [&](std::string_view line) {
-        parse_csv_record(line, sink, batch);
-    };
-    scanner.feed(data, handle);
-    scanner.finish(handle);
-    if (!batch.empty()) sink.on_events(batch);
-    Trace trace = std::move(sink.trace);
-    trace.store.finalize();
-    return trace;
-}
+/// Collects a streamed CSV trace for read_trace: instances as they
+/// arrive, event rows until the end, then one ColumnStore::group.
+class CollectSink final : public TraceSink {
+public:
+    void on_instance(const InstanceInfo& info) override {
+        trace_.instances.push_back(info);
+    }
+    void on_events(std::span<const AccessEvent> events) override {
+        rows_.insert(rows_.end(), events.begin(), events.end());
+    }
+    [[nodiscard]] Trace take() {
+        const std::span<const AccessEvent> rows(rows_);
+        trace_.store = ColumnStore::group({&rows, 1});
+        return std::move(trace_);
+    }
+
+private:
+    Trace trace_;
+    std::vector<AccessEvent> rows_;
+};
 
 /// Streaming CSV: refill a fixed buffer and feed it through the scanner;
 /// quote state and partial records survive the refills.
@@ -286,11 +298,7 @@ std::size_t read_trace_csv_stream(std::istream& is, std::string_view first,
         throw std::runtime_error("trace_io: I/O error while reading trace");
     scanner.finish(handle);
     if (!batch.empty()) sink.on_events(batch);
-    if (obs::enabled()) {
-        auto& reg = obs::MetricsRegistry::global();
-        reg.add(trace_metrics().bytes_read, bytes);
-        reg.add(trace_metrics().events_read, events);
-    }
+    count_read(bytes, events);
     return events;
 }
 
@@ -335,7 +343,7 @@ void write_csv_event_record(std::ostream& os, const AccessEvent& ev) {
 
 std::size_t write_trace(std::ostream& os,
                         const std::vector<InstanceInfo>& instances,
-                        const ProfileStore& store, TraceFormat format) {
+                        const ColumnStore& store, TraceFormat format) {
     DSSPY_TRACE_SPAN("trace.write");
     const std::streampos before = obs::enabled() ? os.tellp()
                                                  : std::streampos{-1};
@@ -364,13 +372,7 @@ std::size_t read_trace_stream(std::istream& is, TraceSink& sink,
                               std::size_t buffer_bytes) {
     DSSPY_TRACE_SPAN("trace.read");
     const std::size_t cap = std::max<std::size_t>(buffer_bytes, 64);
-    // Probe one buffer to sniff the format, then hand the consumed prefix
-    // to the chosen reader so no byte is parsed twice.
-    std::string probe(cap, '\0');
-    is.read(probe.data(), static_cast<std::streamsize>(cap));
-    probe.resize(static_cast<std::size_t>(is.gcount()));
-    if (is.bad())
-        throw std::runtime_error("trace_io: I/O error while reading trace");
+    const std::string probe = read_prefix(is, cap);
     if (is_binary_trace(probe))
         return read_trace_binary_stream(is, probe, sink);
     return read_trace_csv_stream(is, probe, sink, cap);
@@ -422,28 +424,29 @@ std::size_t read_trace_stream(const ChunkSource& next_chunk, TraceSink& sink,
 
 Trace read_trace(std::istream& is, par::ThreadPool* pool) {
     DSSPY_TRACE_SPAN("trace.read");
-    // Slurp the stream once and dispatch on the magic: binary decode needs
-    // random access for the chunk index, and CSV record extraction is
-    // simpler over a contiguous buffer than across getline boundaries.
-    std::ostringstream buffer;
-    buffer << is.rdbuf();
+    constexpr std::size_t kBufferBytes = std::size_t{1} << 20;
+    std::string data = read_prefix(is, kBufferBytes);
+    if (!is_binary_trace(data)) {
+        // CSV streams through the record scanner in bounded buffers; only
+        // the parsed rows are kept, and they are grouped once.
+        CollectSink sink;
+        read_trace_csv_stream(is, data, sink, kBufferBytes);
+        return sink.take();
+    }
+    // DST1 is decoded whole: the column decode indexes every chunk.
+    std::ostringstream whole;
+    whole << data << is.rdbuf();
     if (is.bad())
         throw std::runtime_error("trace_io: I/O error while reading trace");
-    const std::string data = std::move(buffer).str();
-    Trace trace = is_binary_trace(data)
-                      ? as_trace(read_trace_columns(data, pool))
-                      : read_trace_csv(data);
-    if (obs::enabled()) {
-        auto& reg = obs::MetricsRegistry::global();
-        reg.add(trace_metrics().bytes_read, data.size());
-        reg.add(trace_metrics().events_read, trace.store.total_events());
-    }
+    data = std::move(whole).str();
+    Trace trace = as_trace(read_trace_columns(data, pool));
+    count_read(data.size(), trace.store.total_events());
     return trace;
 }
 
 bool write_trace_file(const std::string& path,
                       const std::vector<InstanceInfo>& instances,
-                      const ProfileStore& store, TraceFormat format) {
+                      const ColumnStore& store, TraceFormat format) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out) return false;
     write_trace(out, instances, store, format);
@@ -460,9 +463,14 @@ bool write_trace_file(const std::string& path, const ProfilingSession& session,
 }
 
 Trace read_trace_file(const std::string& path, par::ThreadPool* pool) {
-    // DST1 files are mmapped instead of slurped; same decoder as read_trace.
-    if (is_binary_trace_file(path))
-        return as_trace(read_trace_columns_file(path, pool));
+    // DST1 files are mmapped instead of read; same decoder as read_trace.
+    if (is_binary_trace_file(path)) {
+        Trace trace = as_trace(read_trace_columns_file(path, pool));
+        if (obs::enabled())
+            count_read(std::filesystem::file_size(path),
+                       trace.store.total_events());
+        return trace;
+    }
     std::ifstream in(path, std::ios::binary);
     if (!in)
         throw std::runtime_error("trace_io: cannot open trace file '" + path +

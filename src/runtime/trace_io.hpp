@@ -33,8 +33,8 @@
 #include <string_view>
 #include <vector>
 
+#include "runtime/column_store.hpp"
 #include "runtime/instance_registry.hpp"
-#include "runtime/profile_store.hpp"
 #include "runtime/session.hpp"
 
 namespace dsspy::par {
@@ -52,7 +52,7 @@ enum class TraceFormat {
 /// A deserialized trace: instance metadata plus the grouped store.
 struct Trace {
     std::vector<InstanceInfo> instances;
-    ProfileStore store;
+    ColumnStore store;
 };
 
 /// Write a stopped session's registry and events to `os`.
@@ -66,15 +66,17 @@ std::size_t write_trace(std::ostream& os, const ProfilingSession& session,
 /// survive a write/read cycle.
 std::size_t write_trace(std::ostream& os,
                         const std::vector<InstanceInfo>& instances,
-                        const ProfileStore& store,
+                        const ColumnStore& store,
                         TraceFormat format = TraceFormat::Csv);
 
 /// Parse a trace written by `write_trace`, auto-detecting the format from
 /// the magic bytes.  Throws std::runtime_error on malformed input (wrong
 /// field counts, non-numeric fields, unknown record tags, truncated or
-/// corrupt binary data).  DST1 input goes through the column decoder
-/// (read_trace_columns); with a pool its chunks decode in parallel and the
-/// result is bit-identical to the sequential path.
+/// corrupt binary data).  CSV input streams through the same record
+/// scanner as read_trace_stream and is grouped once at the end; DST1
+/// input is read whole and goes through the column decoder
+/// (read_trace_columns), whose chunks decode in parallel with a pool,
+/// bit-identical to the sequential path.
 [[nodiscard]] Trace read_trace(std::istream& is,
                                par::ThreadPool* pool = nullptr);
 
@@ -130,7 +132,7 @@ bool write_trace_file(const std::string& path, const ProfilingSession& session,
                       TraceFormat format = TraceFormat::Csv);
 bool write_trace_file(const std::string& path,
                       const std::vector<InstanceInfo>& instances,
-                      const ProfileStore& store,
+                      const ColumnStore& store,
                       TraceFormat format = TraceFormat::Csv);
 [[nodiscard]] Trace read_trace_file(const std::string& path,
                                     par::ThreadPool* pool = nullptr);

@@ -12,7 +12,7 @@
 // everything folded so far is still byte-identical to offline analysis of
 // the received prefix — but records the state as Aborted plus a reason.
 // Events whose instance was never declared are counted as orphans
-// (mirroring the capture layer's store.orphan_events semantics), so a
+// (mirroring ProfilingSession::orphan_events in the capture layer), so a
 // truncated stream is visible in the numbers, not silently absorbed.
 #pragma once
 
@@ -113,7 +113,8 @@ public:
 
 private:
     /// Orphans = folded events minus events attributed to declared
-    /// instances (the same subtraction ProfileStore does post-mortem).
+    /// instances (ProfilingSession::orphan_events counts the same events
+    /// post-mortem).
     static std::uint64_t count_orphans(const core::StreamReport& report);
     void fill_report_fields(const core::StreamReport& report);
 

@@ -299,7 +299,9 @@ TEST(AdviceDifferential, RenderedTextMatchesLegacyFormatterOnAllApps) {
         const AnalysisResult result = Dsspy{config}.analyze(session);
         for (const dsspy::core::InstanceAnalysis& inst : result.instances()) {
             const InstanceStats stats = dsspy::core::compute_instance_stats(
-                inst.profile, session.store().events(inst.profile.info().id),
+                inst.profile,
+                dsspy::core::instance_events(session.store(),
+                                             inst.profile.info().id),
                 inst.patterns, config);
             const std::vector<LegacyText> legacy =
                 legacy_classify(stats, config);
@@ -400,7 +402,7 @@ TEST(AdviceJson, StreamDocumentMatchesPostmortemDocument) {
     const auto instances = session.registry().snapshot();
     for (const auto& info : instances) analyzer.declare_instance(info);
     for (const auto& info : instances)
-        analyzer.fold(session.store().events(info.id));
+        analyzer.fold(dsspy::core::instance_events(session.store(), info.id));
     const dsspy::core::StreamReport stream = analyzer.finish(instances);
     std::ostringstream st_os;
     dsspy::core::write_advice_json(st_os, stream);

@@ -21,6 +21,7 @@
 #include "parallel/thread_pool.hpp"
 #include "runtime/column_store.hpp"
 #include "runtime/session.hpp"
+#include "streaming_sink.hpp"
 
 namespace dsspy::runtime {
 namespace {
@@ -67,7 +68,7 @@ TEST(CaptureStress, StreamingEightProducersTinyRingsLoseNothing) {
     // numbers (the reconciled total order is a valid interleaving).
     std::set<std::uint64_t> all_seqs;
     for (const InstanceId id : ids) {
-        const auto events = session.store().events(id);
+        const auto events = core::instance_events(session.store(), id);
         ASSERT_EQ(events.size(), static_cast<std::size_t>(kPerThread));
         for (std::size_t i = 0; i < events.size(); ++i) {
             EXPECT_EQ(events[i].position, static_cast<std::int64_t>(i));
@@ -186,25 +187,39 @@ TEST_P(ReconciliationTest, SharedInstancePreservesPerThreadProgramOrder) {
     // > kSeqBlockSize events per thread so every thread crosses several
     // block boundaries.
     constexpr int kPerThread = 3 * 1024 + 257;
+    // Threads take turns in stretches that do not align with seq blocks, so
+    // the interleaving does not depend on the host running them in
+    // parallel: each thread leaves a block half-filled while the others
+    // record above it.
+    constexpr int kTurn = 700;
     ProfilingSession session(GetParam(), /*max_undelivered=*/512);
+    const dsspy_test::StreamingSink sink(session);
     const InstanceId shared = session.register_instance(
         DsKind::List, "List<Int64>", {"Recon", "M", 1});
 
+    std::atomic<int> turn{0};
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&session, shared, t] {
-            for (int i = 0; i < kPerThread; ++i) {
+        threads.emplace_back([&session, shared, &turn, t] {
+            for (int begin = 0; begin < kPerThread; begin += kTurn) {
+                while (turn.load(std::memory_order_acquire) !=
+                       begin / kTurn * kThreads + t)
+                    std::this_thread::yield();
+                const int end = std::min(begin + kTurn, int{kPerThread});
                 // Encode (thread, op index) in the position so the merged
                 // stream can be audited per thread.
-                const std::int64_t pos = t * 1'000'000LL + i;
-                session.record(shared, OpKind::Add, pos, 1);
+                for (int i = begin; i < end; ++i)
+                    session.record(shared, OpKind::Add,
+                                   t * 1'000'000LL + i, 1);
+                turn.fetch_add(1, std::memory_order_release);
             }
         });
     }
     for (auto& th : threads) th.join();
     session.stop();
+    sink.expect_matches_store(session);
 
-    const auto events = session.store().events(shared);
+    const auto events = core::instance_events(session.store(), shared);
     ASSERT_EQ(events.size(),
               static_cast<std::size_t>(kThreads) * kPerThread);
     std::vector<std::int64_t> next_index(kThreads, 0);
@@ -245,7 +260,7 @@ TEST(CaptureStress, AmortizedTimestampsAreMonotonicAndAdvance) {
         session.record(id, OpKind::Add, i, 1);
     session.stop();
 
-    const auto events = session.store().events(id);
+    const auto events = core::instance_events(session.store(), id);
     ASSERT_EQ(events.size(), static_cast<std::size_t>(kEvents));
     std::set<std::uint64_t> distinct;
     for (std::size_t i = 0; i < events.size(); ++i) {
@@ -324,7 +339,7 @@ TEST(CaptureStress, StopGroupsColumnsInSeqOrderInBothModes) {
                                  return a.instance < b.instance;
                              return a.seq < b.seq;
                          });
-        const ColumnStore& columns = session.store().columns();
+        const ColumnStore& columns = session.store();
         ASSERT_EQ(columns.total_events(), delivered.size());
         std::size_t row = 0;
         for (InstanceId id = 0; id < columns.instance_slots(); ++id) {
@@ -392,7 +407,7 @@ TEST(CaptureStress, BufferedQuiesceHandshakeMergesEverything) {
     EXPECT_EQ(session.events_recorded(),
               static_cast<std::uint64_t>(kThreads) * kPerThread);
     session.stop();
-    EXPECT_EQ(session.store().events(id).size(),
+    EXPECT_EQ(core::instance_events(session.store(), id).size(),
               static_cast<std::size_t>(kThreads) * kPerThread);
     // Late records are dropped (and would assert in debug builds if a
     // recording thread were still live — here the thread-local channel is
@@ -474,7 +489,7 @@ TEST(CaptureStress, CompactChunksRoundTripAcrossBoundaries) {
     // Columns round-trip every field; rebuild the stream in record order
     // (the position carries k) to audit the derived seqs and timestamps.
     std::vector<AccessEvent> stream(kCompactEvents);
-    const ColumnStore& columns = session.store().columns();
+    const ColumnStore& columns = session.store();
     ASSERT_EQ(columns.total_events(), kCompactEvents);
     for (std::size_t i = 0; i < ids.size(); ++i) {
         const ColumnRange range = columns.range(ids[i]);
@@ -566,7 +581,7 @@ TEST(CaptureStress, CompactChunksFourThreadsKeepProgramOrder) {
     ASSERT_EQ(session.events_recorded(), kThreads * kCompactEvents);
     ASSERT_EQ(session.thread_count(), kThreads);
 
-    const ColumnStore& columns = session.store().columns();
+    const ColumnStore& columns = session.store();
     ASSERT_EQ(columns.total_events(), kThreads * kCompactEvents);
     std::set<std::uint16_t> thread_ids;
     for (std::size_t i = 0; i < ids.size(); ++i) {

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "core/dsspy.hpp"
 #include "ds/ds.hpp"
 #include "support/rng.hpp"
 
@@ -22,7 +23,7 @@ using runtime::ProfilingSession;
 std::vector<AccessEvent> events_of(ProfilingSession& session,
                                    InstanceId id) {
     session.stop();
-    return session.store().events(id);
+    return core::instance_events(session.store(), id);
 }
 
 TEST(Probe, NullSessionRecordsNothing) {

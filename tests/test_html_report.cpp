@@ -27,7 +27,7 @@ TEST(HtmlReport, ContainsSummaryTableAndUseCases) {
     runtime::ProfilingSession session;
     const auto analysis = make_analysis(session);
     std::ostringstream os;
-    write_html_report(os, analysis, session.store().columns());
+    write_html_report(os, analysis, session.store());
     const std::string html = os.str();
 
     EXPECT_NE(html.find("<!DOCTYPE html>"), std::string::npos);
@@ -47,7 +47,7 @@ TEST(HtmlReport, EscapesMarkupInNames) {
     runtime::ProfilingSession session;
     const auto analysis = make_analysis(session);
     std::ostringstream os;
-    write_html_report(os, analysis, session.store().columns());
+    write_html_report(os, analysis, session.store());
     const std::string html = os.str();
     // The raw "<Gen>" must never appear unescaped outside the SVG.
     EXPECT_NE(html.find("Html.Test&lt;Gen&gt;"), std::string::npos);
@@ -60,7 +60,7 @@ TEST(HtmlReport, CustomTitleAndEmptyAnalysis) {
     std::ostringstream os;
     HtmlReportOptions options;
     options.title = "Custom <title>";
-    write_html_report(os, analysis, session.store().columns(), options);
+    write_html_report(os, analysis, session.store(), options);
     EXPECT_NE(os.str().find("Custom &lt;title&gt;"), std::string::npos);
     EXPECT_NE(os.str().find("No flagged locations."), std::string::npos);
 }
@@ -70,10 +70,10 @@ TEST(HtmlReport, FileOutput) {
     const auto analysis = make_analysis(session);
     const std::string path = ::testing::TempDir() + "/dsspy_report.html";
     EXPECT_TRUE(write_html_report_file(path, analysis,
-                                       session.store().columns()));
+                                       session.store()));
     std::remove(path.c_str());
     EXPECT_FALSE(write_html_report_file("/nonexistent/dir/x.html", analysis,
-                                        session.store().columns()));
+                                        session.store()));
 }
 
 }  // namespace

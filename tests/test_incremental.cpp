@@ -113,7 +113,7 @@ void expect_equivalent(const ProfilingSession& session,
         IncrementalAnalyzer inc(config);
         for (const InstanceInfo& info : instances) inc.declare_instance(info);
         for (const InstanceInfo& info : instances)
-            inc.fold(session.store().events(info.id));
+            inc.fold(core::instance_events(session.store(), info.id));
         const StreamReport sr = inc.finish(instances);
         expect_reports_equal(pm, sr);
     }
@@ -121,7 +121,7 @@ void expect_equivalent(const ProfilingSession& session,
     std::vector<AccessEvent> global;
     for (const InstanceInfo& info : instances) {
         const std::vector<AccessEvent> events =
-            session.store().events(info.id);
+            core::instance_events(session.store(), info.id);
         global.insert(global.end(), events.begin(), events.end());
     }
     // Stable: equal seqs keep each instance's own order.
@@ -247,7 +247,7 @@ TEST(ExampleDifferential, EventByEventFoldMatchesBatchFold) {
     }
     for (const InstanceInfo& info : instances) {
         const std::vector<AccessEvent> events =
-            session.store().events(info.id);
+            core::instance_events(session.store(), info.id);
         batched.fold(events);
         for (const AccessEvent& ev : events) single.fold(ev);
     }
@@ -343,7 +343,7 @@ TEST(LiveSessionDifferential, SnapshotDoesNotPerturbAndMatchesPrefix) {
     const std::vector<InstanceInfo> instances = session.registry().snapshot();
     ASSERT_EQ(instances.size(), 1u);
     const std::vector<AccessEvent> rows =
-        session.store().events(instances[0].id);
+        core::instance_events(session.store(), instances[0].id);
     const std::span<const AccessEvent> events(rows);
     const std::size_t half = events.size() / 2;
 
@@ -626,7 +626,7 @@ void expect_stream_matches_slurp(const std::string& bytes,
         EXPECT_TRUE(sink.instances[i] == trace.instances[i]);
     for (const InstanceInfo& info : trace.instances) {
         const std::vector<AccessEvent> expected =
-            trace.store.events(info.id);
+            core::instance_events(trace.store, info.id);
         const std::vector<AccessEvent>& got = sink.events[info.id];
         ASSERT_EQ(got.size(), expected.size());
         for (std::size_t i = 0; i < got.size(); ++i)

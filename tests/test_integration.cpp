@@ -10,6 +10,7 @@
 #include "ds/ds.hpp"
 #include "parallel/algorithms.hpp"
 #include "support/rng.hpp"
+#include "streaming_sink.hpp"
 
 namespace dsspy {
 namespace {
@@ -28,6 +29,7 @@ TEST_P(PipelineModeTest, Figure3WorkloadEndToEnd) {
     // by a full forward read, then a clear -> Long-Insert +
     // Frequent-Long-Read on the same list.
     ProfilingSession session(GetParam());
+    const dsspy_test::StreamingSink sink(session);
     {
         ds::ProfiledList<int> list(&session, {"Paper", "Figure3", 1});
         for (int round = 0; round < 15; ++round) {
@@ -40,6 +42,7 @@ TEST_P(PipelineModeTest, Figure3WorkloadEndToEnd) {
         }
     }
     session.stop();
+    sink.expect_matches_store(session);
 
     const AnalysisResult analysis = Dsspy{}.analyze(session);
     ASSERT_EQ(analysis.instances().size(), 1u);
@@ -78,6 +81,7 @@ INSTANTIATE_TEST_SUITE_P(BothModes, PipelineModeTest,
 TEST(Pipeline, BufferedAndStreamingProduceIdenticalAnalyses) {
     auto run = [](CaptureMode mode) {
         ProfilingSession session(mode);
+        const dsspy_test::StreamingSink sink(session);
         {
             ds::ProfiledList<int> list(&session, {"X", "M", 1});
             for (int i = 0; i < 500; ++i) list.add(i);
@@ -86,6 +90,7 @@ TEST(Pipeline, BufferedAndStreamingProduceIdenticalAnalyses) {
                     (void)list.get(i);
         }
         session.stop();
+        sink.expect_matches_store(session);
         return Dsspy{}.analyze(session).use_case_counts();
     };
     EXPECT_EQ(run(CaptureMode::Buffered), run(CaptureMode::Streaming));

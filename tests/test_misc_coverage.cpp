@@ -27,7 +27,7 @@ TEST(Probe, MoveTransfersRecordingOwnership) {
     b.rec(runtime::OpKind::Add, 0, 1);
     a.rec(runtime::OpKind::Add, 1, 2);  // no-op: a was moved from
     session.stop();
-    EXPECT_EQ(session.store().events(id).size(), 1u);
+    EXPECT_EQ(core::instance_events(session.store(), id).size(), 1u);
     // The instance is NOT yet deallocated: b still owns it.
     // (b goes out of scope after stop(); mark happens then.)
 }

@@ -7,9 +7,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/dsspy.hpp"
@@ -20,8 +24,9 @@
 #include "obs/trace.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
-#include "runtime/profile_store.hpp"
+#include "runtime/column_store.hpp"
 #include "runtime/session.hpp"
+#include "runtime/trace_io.hpp"
 
 namespace dsspy::obs {
 namespace {
@@ -340,16 +345,21 @@ TEST(ObsCapture, ChunkBytesCountsAllocatedChunkCapacity) {
 }
 
 TEST(ObsOrphans, StoreCountsEventsPastTheRegisteredRange) {
-    runtime::ProfileStore store;
-    std::vector<runtime::AccessEvent> events(7);
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        events[i].seq = i;
-        events[i].instance = i < 3 ? 0u : 5u;  // 4 events on id 5
-    }
-    store.append(events);
-    EXPECT_EQ(store.orphan_events(6), 0u);
-    EXPECT_EQ(store.orphan_events(5), 4u);
-    EXPECT_EQ(store.orphan_events(0), 7u);
+    // 3 events on id 0 and 4 on id 5, against 6, 5 and 0 registered ids.
+    const auto orphans_with = [](std::size_t registered) {
+        runtime::ProfilingSession session;
+        for (std::size_t i = 0; i < registered; ++i)
+            session.register_instance(runtime::DsKind::List, "List<Int32>",
+                                      {"Obs", "Orphans", 1});
+        for (int i = 0; i < 7; ++i)
+            session.record(i < 3 ? 0u : 5u, runtime::OpKind::Add, i, 1);
+        session.stop();
+        EXPECT_EQ(session.store().total_events(), 7u);
+        return session.orphan_events();
+    };
+    EXPECT_EQ(orphans_with(6), 0u);
+    EXPECT_EQ(orphans_with(5), 4u);
+    EXPECT_EQ(orphans_with(0), 7u);
 }
 
 TEST(ObsOrphans, SessionSurfacesStoreOnlyEvents) {
@@ -362,12 +372,63 @@ TEST(ObsOrphans, SessionSurfacesStoreOnlyEvents) {
     EXPECT_EQ(session.store().total_events(), 5u);
 }
 
+// Every read counts trace.bytes_read and trace.events_read exactly once:
+// a CSV read_trace streams through the same reader read_trace_stream uses
+// (which counts), and a DST1 read counts after its column decode.
+TEST(ObsTraceIo, ReadTraceCountsBytesAndEventsOnce) {
+    runtime::ProfilingSession session;
+    const runtime::InstanceId id = session.register_instance(
+        runtime::DsKind::List, "List<Int32>", {"Obs", "Trace", 1});
+    // Enough rows that the CSV spans more than one 1 MiB read buffer.
+    static constexpr std::uint64_t kEvents = 40'000;
+    for (std::uint64_t i = 0; i < kEvents; ++i)
+        session.record(id, runtime::OpKind::Add,
+                       static_cast<std::int64_t>(i), 1);
+    session.stop();
+    std::ostringstream csv;
+    std::ostringstream dst1;
+    runtime::write_trace(csv, session, runtime::TraceFormat::Csv);
+    runtime::write_trace(dst1, session, runtime::TraceFormat::Binary);
+    ASSERT_GT(csv.str().size(), std::size_t{1} << 20);
+    const std::string path = ::testing::TempDir() + "/dsspy_obs_read.dst";
+    std::ofstream(path, std::ios::binary) << dst1.str();
+
+    const auto counted = [](const auto& read) {
+        const GlobalTelemetryGuard guard;
+        EXPECT_EQ(read().store.total_events(), kEvents);
+        const std::vector<MetricValue> metrics =
+            MetricsRegistry::global().collect();
+        const MetricValue* bytes = find_metric(metrics, "trace.bytes_read");
+        const MetricValue* events = find_metric(metrics, "trace.events_read");
+        EXPECT_NE(bytes, nullptr);
+        EXPECT_NE(events, nullptr);
+        if (bytes == nullptr || events == nullptr)
+            return std::pair<std::uint64_t, std::uint64_t>{};
+        return std::pair{bytes->value, events->value};
+    };
+    const auto read_stream = [](const std::string& bytes) {
+        return [&bytes] {
+            std::istringstream in(bytes);
+            return runtime::read_trace(in);
+        };
+    };
+    const std::string csv_bytes = csv.str();
+    const std::string dst1_bytes = dst1.str();
+    EXPECT_EQ(counted(read_stream(csv_bytes)),
+              std::pair(std::uint64_t{csv_bytes.size()}, kEvents));
+    EXPECT_EQ(counted(read_stream(dst1_bytes)),
+              std::pair(std::uint64_t{dst1_bytes.size()}, kEvents));
+    EXPECT_EQ(counted([&path] { return runtime::read_trace_file(path); }),
+              std::pair(std::uint64_t{dst1_bytes.size()}, kEvents));
+    std::remove(path.c_str());
+}
+
 TEST(ObsDifferential, TelemetryDoesNotChangeAnalysisResults) {
     // Fixed synthetic input (hand-built store, deterministic timestamps):
     // the exported analysis JSON must be bit-identical with telemetry on
     // and off.
     const auto build_input = [](std::vector<runtime::InstanceInfo>& instances,
-                                runtime::ProfileStore& store) {
+                                runtime::ColumnStore& store) {
         runtime::InstanceInfo info;
         info.id = 0;
         info.kind = runtime::DsKind::List;
@@ -390,13 +451,13 @@ TEST(ObsDifferential, TelemetryDoesNotChangeAnalysisResults) {
             ev.thread = 0;
             events.push_back(ev);
         }
-        store.append(events);
-        store.finalize();
+        const std::span<const runtime::AccessEvent> rows(events);
+        store = runtime::ColumnStore::group({&rows, 1});
     };
 
     const auto analyze_to_json = [&] {
         std::vector<runtime::InstanceInfo> instances;
-        runtime::ProfileStore store;
+        runtime::ColumnStore store;
         build_input(instances, store);
         const core::Dsspy analyzer;
         const core::AnalysisResult result =

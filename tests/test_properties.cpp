@@ -9,6 +9,7 @@
 #include "ds/ds.hpp"
 #include "runtime/trace_io.hpp"
 #include "support/rng.hpp"
+#include "streaming_sink.hpp"
 
 namespace dsspy {
 namespace {
@@ -168,8 +169,10 @@ TEST_P(PipelinePropertyTest, UseCasesAreConsistentlyLabeled) {
 TEST_P(PipelinePropertyTest, CaptureModesAgree) {
     auto counts = [this](CaptureMode mode) {
         ProfilingSession session(mode);
+        const dsspy_test::StreamingSink sink(session);
         random_workload(session, GetParam());
         session.stop();
+        sink.expect_matches_store(session);
         const AnalysisResult analysis = Dsspy{}.analyze(session);
         std::ostringstream fingerprint;
         for (const InstanceAnalysis& ia : analysis.instances()) {

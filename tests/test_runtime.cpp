@@ -5,9 +5,10 @@
 #include <thread>
 #include <vector>
 
+#include "core/dsspy.hpp"
 #include "runtime/instance_registry.hpp"
-#include "runtime/profile_store.hpp"
 #include "runtime/session.hpp"
+#include "streaming_sink.hpp"
 
 namespace dsspy::runtime {
 namespace {
@@ -28,47 +29,19 @@ TEST(InstanceRegistry, RegisterAndLookup) {
     EXPECT_TRUE(registry.info(a).deallocated);
 }
 
-TEST(ProfileStore, GroupsByInstanceAndSortsBySeq) {
-    ProfileStore store;
-    AccessEvent e1{.seq = 2, .time_ns = 20, .position = 1, .instance = 0,
-                   .size = 2, .op = OpKind::Get, .thread = 0};
-    AccessEvent e2{.seq = 1, .time_ns = 10, .position = 0, .instance = 0,
-                   .size = 1, .op = OpKind::Add, .thread = 0};
-    AccessEvent e3{.seq = 3, .time_ns = 30, .position = 0, .instance = 2,
-                   .size = 1, .op = OpKind::Add, .thread = 1};
-    const AccessEvent batch[] = {e1, e2, e3};
-    store.append(batch);
-    store.finalize();
-    EXPECT_EQ(store.total_events(), 3u);
-    EXPECT_EQ(store.populated_instances(), 2u);
-    const auto ev0 = store.events(0);
-    ASSERT_EQ(ev0.size(), 2u);
-    EXPECT_EQ(ev0[0].seq, 1u);  // sorted by seq
-    EXPECT_EQ(ev0[1].seq, 2u);
-    EXPECT_EQ(store.events(1).size(), 0u);
-    EXPECT_EQ(store.events(2).size(), 1u);
-    EXPECT_EQ(store.events(77).size(), 0u);  // out of range -> empty
-}
-
-TEST(ProfileStore, IgnoresInvalidInstance) {
-    ProfileStore store;
-    AccessEvent ev;
-    ev.instance = kInvalidInstance;
-    store.append({&ev, 1});
-    EXPECT_EQ(store.total_events(), 0u);
-}
-
 class SessionModeTest : public ::testing::TestWithParam<CaptureMode> {};
 
 TEST_P(SessionModeTest, RecordsEventsWithMetadata) {
     ProfilingSession session(GetParam());
+    const dsspy_test::StreamingSink sink(session);
     const InstanceId id = session.register_instance(
         DsKind::List, "List<Int32>", {"Cls", "M", 1});
     for (int i = 0; i < 100; ++i)
         session.record(id, OpKind::Add, i, static_cast<std::uint32_t>(i + 1));
     session.stop();
+    sink.expect_matches_store(session);
 
-    const auto events = session.store().events(id);
+    const auto events = core::instance_events(session.store(), id);
     ASSERT_EQ(events.size(), 100u);
     for (int i = 0; i < 100; ++i) {
         EXPECT_EQ(events[static_cast<size_t>(i)].position, i);
@@ -85,6 +58,7 @@ TEST_P(SessionModeTest, RecordsEventsWithMetadata) {
 
 TEST_P(SessionModeTest, MultiThreadedRecordingLosesNothing) {
     ProfilingSession session(GetParam());
+    const dsspy_test::StreamingSink sink(session);
     constexpr int kThreads = 4;
     constexpr int kPerThread = 25'000;
     std::vector<InstanceId> ids;
@@ -103,10 +77,11 @@ TEST_P(SessionModeTest, MultiThreadedRecordingLosesNothing) {
     }
     for (auto& th : threads) th.join();
     session.stop();
+    sink.expect_matches_store(session);
 
     std::size_t total = 0;
     for (const InstanceId id : ids) {
-        const auto events = session.store().events(id);
+        const auto events = core::instance_events(session.store(), id);
         EXPECT_EQ(events.size(), static_cast<std::size_t>(kPerThread));
         total += events.size();
         // Per-instance events come from one thread: positions in order.
@@ -119,6 +94,7 @@ TEST_P(SessionModeTest, MultiThreadedRecordingLosesNothing) {
 
 TEST_P(SessionModeTest, StopIsIdempotentAndStopsCapture) {
     ProfilingSession session(GetParam());
+    const dsspy_test::StreamingSink sink(session);
     const InstanceId id = session.register_instance(
         DsKind::List, "List<Int32>", {"Cls", "M", 1});
     session.record(id, OpKind::Add, 0, 1);
@@ -127,7 +103,8 @@ TEST_P(SessionModeTest, StopIsIdempotentAndStopsCapture) {
     EXPECT_FALSE(session.capturing());
     session.record(id, OpKind::Add, 1, 2);  // ignored after stop
     session.stop();                         // idempotent
-    EXPECT_EQ(session.store().events(id).size(), 1u);
+    sink.expect_matches_store(session);
+    EXPECT_EQ(core::instance_events(session.store(), id).size(), 1u);
     EXPECT_GT(session.capture_duration_ns(), 0u);
 }
 
@@ -168,7 +145,7 @@ TEST(Session, StreamingBackpressureLosesNothingWithTinyRings) {
     session.stop();
     EXPECT_EQ(delivered, static_cast<std::size_t>(kThreads) * kPerThread);
     for (const InstanceId id : ids) {
-        const auto events = session.store().events(id);
+        const auto events = core::instance_events(session.store(), id);
         ASSERT_EQ(events.size(), static_cast<std::size_t>(kPerThread));
         for (size_t i = 0; i < events.size(); ++i)
             EXPECT_EQ(events[i].position, static_cast<std::int64_t>(i));
@@ -188,10 +165,10 @@ TEST(Session, TwoLiveSessionsDoNotInterfere) {
     }
     s1.stop();
     s2.stop();
-    EXPECT_EQ(s1.store().events(a).size(), 10u);
-    EXPECT_EQ(s2.store().events(b).size(), 10u);
-    EXPECT_EQ(s1.store().events(a)[0].op, OpKind::Add);
-    EXPECT_EQ(s2.store().events(b)[0].op, OpKind::Get);
+    EXPECT_EQ(core::instance_events(s1.store(), a).size(), 10u);
+    EXPECT_EQ(core::instance_events(s2.store(), b).size(), 10u);
+    EXPECT_EQ(core::instance_events(s1.store(), a)[0].op, OpKind::Add);
+    EXPECT_EQ(core::instance_events(s2.store(), b)[0].op, OpKind::Get);
 }
 
 }  // namespace

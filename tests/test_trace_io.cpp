@@ -35,6 +35,11 @@ void drive_session(ProfilingSession& session) {
     dict.set(1, 2);
 }
 
+/// `events` grouped into a store, as one block.
+ColumnStore store_of(std::span<const AccessEvent> events) {
+    return ColumnStore::group({&events, 1});
+}
+
 /// Full structural equality of two deserialized traces (instances and the
 /// per-instance event sequences).
 void expect_traces_equal(const Trace& a, const Trace& b) {
@@ -45,8 +50,10 @@ void expect_traces_equal(const Trace& a, const Trace& b) {
     const std::size_t slots =
         std::max(a.store.instance_slots(), b.store.instance_slots());
     for (std::size_t id = 0; id < slots; ++id) {
-        const auto ea = a.store.events(static_cast<InstanceId>(id));
-        const auto eb = b.store.events(static_cast<InstanceId>(id));
+        const auto ea =
+            core::instance_events(a.store, static_cast<InstanceId>(id));
+        const auto eb =
+            core::instance_events(b.store, static_cast<InstanceId>(id));
         ASSERT_EQ(ea.size(), eb.size()) << "instance " << id;
         for (std::size_t i = 0; i < ea.size(); ++i)
             EXPECT_EQ(ea[i], eb[i]) << "instance " << id << " event " << i;
@@ -88,8 +95,10 @@ TEST(TraceIo, RoundTripPreservesEverything) {
         EXPECT_EQ(restored.location, original.location);
         EXPECT_EQ(restored.deallocated, original.deallocated);
 
-        const auto orig_events = session.store().events(original.id);
-        const auto rest_events = trace.store.events(original.id);
+        const auto orig_events =
+            core::instance_events(session.store(), original.id);
+        const auto rest_events =
+            core::instance_events(trace.store, original.id);
         ASSERT_EQ(orig_events.size(), rest_events.size());
         for (std::size_t i = 0; i < orig_events.size(); ++i)
             EXPECT_EQ(orig_events[i], rest_events[i]);
@@ -242,22 +251,20 @@ TEST(TraceIo, OrphanStoreEventsSurviveRoundTrip) {
     known.location = {"Cls", "M", 1};
     instances.push_back(known);
 
-    ProfileStore store;
     const AccessEvent known_ev{1, 10, 0, /*instance=*/0, 1, OpKind::Add, 0};
     const AccessEvent orphan_ev{2, 20, 3, /*instance=*/5, 7, OpKind::Get, 1};
     const AccessEvent events[] = {known_ev, orphan_ev};
-    store.append(events);
-    store.finalize();
+    const ColumnStore store = store_of(events);
 
     for (const TraceFormat format : {TraceFormat::Csv, TraceFormat::Binary}) {
         std::stringstream buffer;
         EXPECT_EQ(write_trace(buffer, instances, store, format), 2u);
         const Trace trace = read_trace(buffer);
         EXPECT_EQ(trace.store.total_events(), 2u);
-        ASSERT_EQ(trace.store.events(5).size(), 1u);
-        EXPECT_EQ(trace.store.events(5)[0], orphan_ev);
-        ASSERT_EQ(trace.store.events(0).size(), 1u);
-        EXPECT_EQ(trace.store.events(0)[0], known_ev);
+        ASSERT_EQ(core::instance_events(trace.store, 5).size(), 1u);
+        EXPECT_EQ(core::instance_events(trace.store, 5)[0], orphan_ev);
+        ASSERT_EQ(core::instance_events(trace.store, 0).size(), 1u);
+        EXPECT_EQ(core::instance_events(trace.store, 0)[0], known_ev);
     }
 }
 
@@ -314,9 +321,7 @@ TEST(TraceIoAdversarial, ExtremeFieldValuesRoundTrip) {
          std::numeric_limits<ThreadId>::max()},
         {u64max, 1, kWholeContainer, 0, 1, OpKind::Clear, 1},
     };
-    ProfileStore store;
-    store.append(extremes);
-    store.finalize();
+    const ColumnStore store = store_of(extremes);
 
     for (const TraceFormat format : {TraceFormat::Csv, TraceFormat::Binary}) {
         std::stringstream buffer;
@@ -324,7 +329,7 @@ TEST(TraceIoAdversarial, ExtremeFieldValuesRoundTrip) {
         const Trace trace = read_trace(buffer);
         ASSERT_EQ(trace.instances.size(), 1u);
         EXPECT_EQ(trace.instances[0], info);
-        const auto events = trace.store.events(0);
+        const auto events = core::instance_events(trace.store, 0);
         ASSERT_EQ(events.size(), 3u);
         // The reader orders each instance by seq; compare against that.
         EXPECT_EQ(events[0], extremes[0]);
@@ -380,8 +385,7 @@ Trace multi_chunk_trace() {
         ev.thread = static_cast<ThreadId>(i % 4);
         batch.push_back(ev);
     }
-    trace.store.append(batch);
-    trace.store.finalize();
+    trace.store = store_of(batch);
     return trace;
 }
 
@@ -531,7 +535,8 @@ void expect_columns_match_trace(const ColumnTrace& cols, const Trace& aos) {
     const std::size_t slots =
         std::max(cols.columns.instance_slots(), aos.store.instance_slots());
     for (std::size_t id = 0; id < slots; ++id) {
-        const auto events = aos.store.events(static_cast<InstanceId>(id));
+        const auto events =
+            core::instance_events(aos.store, static_cast<InstanceId>(id));
         const ColumnRange range =
             cols.columns.range(static_cast<InstanceId>(id));
         ASSERT_EQ(range.size(), events.size()) << "instance " << id;
@@ -736,6 +741,38 @@ std::vector<AccessEvent> interleaved_events(std::size_t n,
     return events;
 }
 
+TEST(ColumnGroup, GroupsByInstanceAndSortsBySeq) {
+    const AccessEvent batch[] = {
+        {.seq = 2, .time_ns = 20, .position = 1, .instance = 0, .size = 2,
+         .op = OpKind::Get, .thread = 0},
+        {.seq = 1, .time_ns = 10, .position = 0, .instance = 0, .size = 1,
+         .op = OpKind::Add, .thread = 0},
+        {.seq = 3, .time_ns = 30, .position = 0, .instance = 2, .size = 1,
+         .op = OpKind::Add, .thread = 1}};
+    const std::span<const AccessEvent> block(batch);
+    const ColumnStore store = ColumnStore::group({&block, 1});
+    EXPECT_EQ(store.total_events(), 3u);
+    EXPECT_EQ(store.instance_slots(), 3u);
+    const auto ev0 = core::instance_events(store, 0);
+    ASSERT_EQ(ev0.size(), 2u);
+    EXPECT_EQ(ev0[0].seq, 1u);  // sorted by seq
+    EXPECT_EQ(ev0[1].seq, 2u);
+    EXPECT_EQ(ev0[0].instance, 0u);
+    EXPECT_TRUE(store.range(1).empty());  // silent id in the gap
+    EXPECT_EQ(core::instance_events(store, 2).size(), 1u);
+    EXPECT_TRUE(store.range(77).empty());  // out of range -> empty
+    EXPECT_TRUE(core::instance_events(store, 77).empty());
+}
+
+TEST(ColumnGroup, IgnoresInvalidInstance) {
+    AccessEvent ev;
+    ev.instance = kInvalidInstance;
+    const std::span<const AccessEvent> block(&ev, 1);
+    const ColumnStore store = ColumnStore::group({&block, 1});
+    EXPECT_EQ(store.total_events(), 0u);
+    EXPECT_EQ(store.instance_slots(), 0u);
+}
+
 TEST(ColumnGroup, ScatterIsStableAcrossBlocksAndDropsInvalidRows) {
     std::vector<AccessEvent> events = interleaved_events(60, 3);
     events[17].instance = kInvalidInstance;
@@ -787,7 +824,7 @@ TEST(ColumnGroup, ShuffledCsvWithDuplicateSeqsMatchesAfterConvert) {
     for (const AccessEvent& ev : events) detail::write_csv_event_record(csv, ev);
     std::istringstream in(csv.str());
     const Trace trace = read_trace(in);
-    expect_columns_equal(trace.store.columns(), grouped_oracle(events));
+    expect_columns_equal(trace.store, grouped_oracle(events));
 
     std::ostringstream dst1;
     write_trace(dst1, trace.instances, trace.store, TraceFormat::Binary);
@@ -869,7 +906,7 @@ TEST(ColumnGroup, InterleavedDst1FileMatchesAcrossReaders) {
     ASSERT_EQ(mapped.instances.size(), 2u);
     expect_columns_equal(mapped.columns, expected);
     const Trace read = read_dst1(bytes);
-    expect_columns_equal(read.store.columns(), expected);
+    expect_columns_equal(read.store, expected);
     expect_columns_match_trace(mapped, read);
     std::remove(path.c_str());
 }

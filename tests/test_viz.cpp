@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "core/dsspy.hpp"
 #include "ds/profiled_list.hpp"
 #include "viz/ascii_chart.hpp"
 #include "viz/svg.hpp"
@@ -22,14 +23,14 @@ core::RuntimeProfile figure2_profile(ProfilingSession& session) {
     const auto id = list.instance_id();
     session.stop();
     return core::RuntimeProfile(session.registry().info(id),
-                                session.store().events(id));
+                                core::instance_events(session.store(), id));
 }
 
 TEST(AsciiChart, RendersBarsWithMarksAndAxis) {
     ProfilingSession session;
     const auto profile = figure2_profile(session);
     const std::string chart =
-        render_profile_bars(profile, session.store().columns());
+        render_profile_bars(profile, session.store());
     EXPECT_NE(chart.find('I'), std::string::npos);  // insert marks
     EXPECT_NE(chart.find('R'), std::string::npos);  // read marks
     EXPECT_NE(chart.find("> time"), std::string::npos);
@@ -43,7 +44,7 @@ TEST(AsciiChart, ScatterOmitsBars) {
     ChartOptions options;
     options.show_legend = false;
     const std::string chart =
-        render_profile_scatter(profile, session.store().columns(), options);
+        render_profile_scatter(profile, session.store(), options);
     EXPECT_EQ(chart.find("legend:"), std::string::npos);
     EXPECT_NE(chart.find('R'), std::string::npos);
 }
@@ -60,12 +61,13 @@ TEST(AsciiChart, DownsamplesWideProfiles) {
     for (int i = 0; i < 5000; ++i) list.add(i);
     const auto id = list.instance_id();
     session.stop();
-    const core::RuntimeProfile profile(session.registry().info(id),
-                                       session.store().events(id));
+    const core::RuntimeProfile profile(
+        session.registry().info(id),
+        core::instance_events(session.store(), id));
     ChartOptions options;
     options.max_width = 80;
     const std::string chart =
-        render_profile_scatter(profile, session.store().columns(), options);
+        render_profile_scatter(profile, session.store(), options);
     // No line longer than the axis line + margin.
     std::istringstream in(chart);
     std::string line;
@@ -76,7 +78,7 @@ TEST(AsciiChart, PrintProfileIncludesHeader) {
     ProfilingSession session;
     const auto profile = figure2_profile(session);
     std::ostringstream os;
-    print_profile(os, profile, session.store().columns());
+    print_profile(os, profile, session.store());
     EXPECT_NE(os.str().find("List<Int32>"), std::string::npos);
     EXPECT_NE(os.str().find("Example.Main:1"), std::string::npos);
 }
@@ -99,7 +101,7 @@ TEST(SvgWriter, ProducesWellFormedDocument) {
 TEST(SvgExport, ProfileChartHasBarsForEveryDownsampledEvent) {
     ProfilingSession session;
     const auto profile = figure2_profile(session);
-    const std::string svg = profile_to_svg(profile, session.store().columns());
+    const std::string svg = profile_to_svg(profile, session.store());
     EXPECT_NE(svg.find("<svg"), std::string::npos);
     // Reads green, writes/inserts red, size bars grey.
     EXPECT_NE(svg.find("#2e9e4f"), std::string::npos);

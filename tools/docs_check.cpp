@@ -17,7 +17,11 @@
 //     heading (so renumbering a section cannot strand stale pointers);
 //   * `AdviceAction::Name` tokens must name an enumerator of the
 //     structured-advice enum in src/core/advice.hpp (so the advice
-//     vocabulary the docs advertise cannot drift from the code).
+//     vocabulary the docs advertise cannot drift from the code);
+//   * type names — tokens led by an identifier with two or more
+//     capitalised humps (`ColumnStore`, `ColumnStore::group`) — must occur
+//     as a word in src/, tools/, bench/, tests/ or examples/ (so a deleted
+//     type cannot live on in the prose).
 //
 // Fenced code blocks are skipped (they show output and shell sessions,
 // not references).  Tokens containing spaces, globs, '<>', '::', or
@@ -172,6 +176,51 @@ std::set<std::string> advice_action_names(const std::string& source) {
     return out;
 }
 
+bool is_word_char(char ch) {
+    return std::isalnum(static_cast<unsigned char>(ch)) || ch == '_';
+}
+
+/// The identifier that leads `token` when it names a type: two or more
+/// capitalised humps (an uppercase letter followed by a lowercase one), so
+/// `ColumnStore` and `ProfilingSession::store` qualify but `DST1`,
+/// `Buffered` and `kSeqBlockSize` do not.  Empty otherwise.
+std::string leading_type_name(const std::string& token) {
+    if (token.empty() ||
+        !std::isupper(static_cast<unsigned char>(token.front())))
+        return {};
+    std::size_t end = 0;
+    int humps = 0;
+    while (end < token.size() && is_word_char(token[end])) {
+        if (std::isupper(static_cast<unsigned char>(token[end])) &&
+            end + 1 < token.size() &&
+            std::islower(static_cast<unsigned char>(token[end + 1])))
+            ++humps;
+        ++end;
+    }
+    return humps >= 2 ? token.substr(0, end) : std::string{};
+}
+
+/// Every identifier-like word in the source files under `root/dir`.
+void collect_words(const fs::path& root, const char* dir,
+                   std::set<std::string>& out) {
+    if (!fs::exists(root / dir)) return;
+    for (const fs::directory_entry& entry :
+         fs::recursive_directory_iterator(root / dir)) {
+        const std::string ext = entry.path().extension().string();
+        if (ext != ".hpp" && ext != ".cpp" && ext != ".h") continue;
+        const std::string text = read_file(entry.path());
+        for (std::size_t i = 0; i < text.size();) {
+            if (!is_word_char(text[i])) {
+                ++i;
+                continue;
+            }
+            const std::size_t begin = i;
+            while (i < text.size() && is_word_char(text[i])) ++i;
+            out.insert(text.substr(begin, i - begin));
+        }
+    }
+}
+
 /// Section numbers with a `## N.` heading in DESIGN.md.
 std::set<int> design_sections(const std::string& design_text) {
     std::set<int> out;
@@ -258,6 +307,10 @@ int main(int argc, char** argv) {
     const std::set<std::string> advice_actions = advice_action_names(
         read_file(root / "src" / "core" / "advice.hpp"));
 
+    std::set<std::string> source_words;
+    for (const char* dir : {"src", "tools", "bench", "tests", "examples"})
+        collect_words(root, dir, source_words);
+
     int errors = 0;
     const auto fail = [&errors](const fs::path& doc, const std::string& token,
                                 const std::string& why) {
@@ -296,6 +349,15 @@ int main(int argc, char** argv) {
                 if (alpha && cli_literals.count(sub) == 0)
                     fail(doc, token,
                          "names a subcommand missing from dsspy_cli.cpp");
+                continue;
+            }
+
+            // Type names must still exist in the code.
+            const std::string type = leading_type_name(token);
+            if (!type.empty() && source_words.count(type) == 0) {
+                fail(doc, token,
+                     "names a type that no source file under src/, "
+                     "tools/, bench/, tests/ or examples/ mentions");
                 continue;
             }
 
